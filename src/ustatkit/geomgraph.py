@@ -3,9 +3,11 @@
 A graph is built on n sampled points with edges between distinct points at
 Euclidean distance strictly between 0 and the radius; the statistic counts
 p-subsets whose induced graph is isomorphic to a fixed connected pattern.
-Counting is exact: a spatial index only prunes the enumeration (every vertex
-of a connected pattern lies within (p - 1) * radius of the anchor vertex),
-and each surviving tuple is checked by exhaustive isomorphism.
+Counting is exact: a KD-tree lists the pairs within the radius once, the
+strict predicate keeps the edges, and for p >= 3 the connected induced vertex
+sets of that graph are grown from its edges (as in Wernicke's ESU motif
+enumeration, IEEE/ACM TCBB 2006) and classified by their adjacency bit codes
+against the pattern's precomputed isomorphism codes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ _VARBOOT_STREAM = (1 << 62) + 100
 _GK_OUTER_STREAM = (1 << 62) + 200
 _GK_INNER_A_STREAM = (1 << 62) + 201
 _GK_INNER_B_STREAM = (1 << 62) + 202
+
+#: elements of the (chunk, inner, p, p, d) difference array that
+#: ``geometric_codes`` builds per kernel evaluation in ``gk_contraction_mc``
+_GK_CHUNK_ELEMENTS = 1_000_000
 
 
 def _pair_bits(p: int) -> dict:
@@ -152,13 +158,121 @@ def pattern_kernel(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     return int(pattern_indicator(pts[None, ...], pat, t)[0])
 
 
+def _strict_pairs(pts: np.ndarray, t: float):
+    """KD-tree pairs (i < j) within t, and the mask of those at 0 < distance < t."""
+    pairs = cKDTree(pts).query_pairs(r=t, output_type="ndarray")
+    d2 = np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=1)
+    return pairs, (d2 > 0.0) & (d2 < t * t)
+
+
+def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Distinct rows of an array of vertex indices below n, in lexicographic order.
+
+    Rows are packed into one int64 key in base n; when n**k does not fit in
+    an int64 for k columns, they are compared row-wise instead.
+    """
+    k = rows.shape[1]
+    if n**k >= 2**63:
+        return np.unique(rows, axis=0)
+    key = rows[:, 0].astype(np.int64)
+    for c in range(1, k):
+        key = key * n + rows[:, c]
+    key = np.unique(key)
+    out = np.empty((key.size, k), dtype=np.int64)
+    for c in range(k - 1, 0, -1):
+        key, out[:, c] = np.divmod(key, n)
+    out[:, 0] = key
+    return out
+
+
+class _StrictGraph:
+    """CSR adjacency of the strict-radius graph plus its sorted packed edge keys."""
+
+    def __init__(self, edges: np.ndarray, n: int):
+        self.n = n
+        self.edge_keys = np.sort(edges[:, 0] * n + edges[:, 1])
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        self.indices = dst[np.argsort(src, kind="stable")]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+
+    def edge_rows(self) -> np.ndarray:
+        """The edges as sorted 2-sets, in lexicographic order."""
+        return np.column_stack(np.divmod(self.edge_keys, self.n))
+
+    def adjacent(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether a[i] < b[i] are joined by an edge, elementwise."""
+        key = a * self.n + b
+        pos = np.searchsorted(self.edge_keys, key)
+        pos[pos == self.edge_keys.size] = 0
+        return self.edge_keys[pos] == key
+
+    def extend(self, rows: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+        """Distinct (k+1)-sets grown from the sorted k-sets ``rows``.
+
+        A set takes any neighbour of a member that exceeds the set's minimum;
+        ``cnt`` holds the members' degrees.
+        """
+        m, k = rows.shape
+        flat = rows.ravel()
+        cnt = cnt.ravel()
+        ends = np.cumsum(cnt)
+        src = np.repeat(np.arange(m), cnt.reshape(m, k).sum(axis=1))
+        pos = np.repeat(self.indptr[flat] - ends + cnt, cnt) + np.arange(ends[-1])
+        w = self.indices[pos]
+        base = rows[src]
+        keep = (w > base[:, 0]) & ~(base == w[:, None]).any(axis=1)
+        grown = np.sort(np.column_stack([base[keep], w[keep]]), axis=1)
+        return _unique_rows(grown, self.n)
+
+
+#: largest number of candidate elements (rows times columns) one growth step
+#: materializes; anchor vertices are processed in blocks that keep under it
+_GROW_BUDGET = 1 << 21
+
+
+def _count_grown(graph: _StrictGraph, rows: np.ndarray, pat: GraphPattern) -> int:
+    """Pattern copies among the connected p-sets grown from the sorted k-sets ``rows``.
+
+    Every set grown from a k-set keeps its minimum (the anchor), so rows are
+    split into blocks of whole anchors, each deduplicated completely on its own.
+    """
+    p = pat.p
+    m, k = rows.shape
+    if m == 0:
+        return 0
+    if k == p:
+        codes = np.zeros(m, dtype=np.int64)
+        for b, (i, j) in enumerate(itertools.combinations(range(p), 2)):
+            codes |= graph.adjacent(rows[:, i], rows[:, j]).astype(np.int64) << b
+        return int(np.count_nonzero(np.isin(codes, pat._iso_codes)))
+    cnt = np.diff(graph.indptr)[rows]
+    size = cnt.sum(axis=1) * (k + 1)
+    if int(size.sum()) <= _GROW_BUDGET:
+        return _count_grown(graph, graph.extend(rows, cnt), pat)
+    before = np.cumsum(size) - size
+    first = np.flatnonzero(np.r_[True, rows[1:, 0] != rows[:-1, 0]])
+    block = before[first] // _GROW_BUDGET
+    cuts = first[np.flatnonzero(np.diff(block)) + 1]
+    total = 0
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m]):
+        total += _count_grown(graph, graph.extend(rows[lo:hi], cnt[lo:hi]), pat)
+    return total
+
+
 def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     """Number of p-subsets inducing a copy of the pattern; exact.
 
-    A KD-tree restricts enumeration to tuples whose vertices all lie within
-    (p - 1) * t of the minimum-index vertex, which is a superset of every
-    connected tuple; the strict distance predicate then decides each tuple,
-    so the result equals direct enumeration over all p-subsets.
+    Edges join points at squared distance strictly between 0 and t**2, the
+    same predicate ``geometric_codes`` applies, so ties at distance t and
+    coincident points are never adjacent.  A KD-tree lists the pairs within t
+    once.  For p >= 3 the connected induced vertex sets of that graph are
+    grown level by level from its edges (a set takes any neighbour of a
+    member above the set's minimum, and duplicates are dropped), and each
+    p-set is classified by its adjacency bit code against the pattern's
+    isomorphism codes.  Copies of a connected pattern are connected sets, so
+    the result equals direct enumeration over all p-subsets.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -167,29 +281,11 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
         raise ParameterError(f"need at least {p} points, got {n}")
     if t <= 0:
         return 0
-    tree = cKDTree(pts)
+    pairs, mask = _strict_pairs(pts, t)
     if p == 2:
-        pairs = tree.query_pairs(r=t, output_type="ndarray")
-        if pairs.size == 0:
-            return 0
-        d2 = np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=1)
-        return int(np.count_nonzero((d2 > 0.0) & (d2 < t * t)))
-
-    radius = (p - 1) * t
-    neighborhoods = tree.query_ball_point(pts, r=radius)
-    total = 0
-    for i in range(n - p + 1):
-        cand = [j for j in neighborhoods[i] if j > i]
-        if len(cand) < p - 1:
-            continue
-        tuples = np.array(list(itertools.combinations(cand, p - 1)), dtype=int)
-        batch = np.concatenate(
-            [np.broadcast_to(pts[i], (tuples.shape[0], 1, pts.shape[1])),
-             pts[tuples]],
-            axis=1,
-        )
-        total += int(pattern_indicator(batch, pat, t).sum())
-    return total
+        return int(np.count_nonzero(mask))
+    graph = _StrictGraph(pairs[mask], n)
+    return _count_grown(graph, graph.edge_rows(), pat)
 
 
 @dataclass(frozen=True)
@@ -579,7 +675,7 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
         vals = pattern_indicator(pts_i, pat, t) * pattern_indicator(pts_k, pat, t)
         return vals.mean(axis=1)
 
-    chunk = max(1, min(mc_samples, 8_000_000 // max(inner * p * d, 1)))
+    chunk = max(1, min(mc_samples, _GK_CHUNK_ELEMENTS // (inner * p * p * d)))
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -389,7 +389,7 @@ def rate_fit(ns: Sequence[float], ds: Sequence[float]) -> RateFit:
 def benchmark_kernel():
     """Order-1 calibration pair: a centered rare-symbol indicator.
 
-    The statistic counts occurrences of a probability-0.05 symbol, centered;
+    The statistic counts occurrences of a probability-0.03 symbol, centered;
     its distributional distance to the normal decays like n^-1/2 with a
     constant large enough to sit well above the coupling noise floor at
     moderate replicate counts, which is what a rate calibration needs.

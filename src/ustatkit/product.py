@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -21,37 +22,27 @@ from .errors import CapacityError, ParameterError, PreconditionError
 from .contractions import contract
 from .hoeffding import ENUMERATION_CAP, decompose, enumerate_samples, ustat_from_counts
 
-#: exact integer combinatorics below this, log-gamma above
-_EXACT_COMB_LIMIT = 20
-
-
-def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        raise ParameterError(f"binomial C({n}, {k}) is out of range")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
 
 def binom(n: int, k: int) -> float:
-    """Binomial coefficient; exact integers when small, log-gamma otherwise."""
+    """Binomial coefficient, computed in exact integers and rounded once."""
     if k < 0 or k > n:
         raise ParameterError(f"binomial C({n}, {k}) is out of range")
-    if n <= _EXACT_COMB_LIMIT:
-        return float(math.comb(n, k))
-    return math.exp(_log_comb(n, k))
+    return float(math.comb(n, k))
 
 
 def multinomial(n: int, parts) -> float:
-    """Multinomial coefficient ``n! / prod(parts!)``; the parts must sum to n."""
+    """Multinomial coefficient ``n! / prod(parts!)``; the parts must sum to n.
+
+    Computed as a product of exact integer binomials and rounded once.
+    """
     parts = tuple(int(x) for x in parts)
     if any(x < 0 for x in parts) or sum(parts) != n:
         raise ParameterError(f"invalid multinomial ({n}; {parts})")
-    if n <= _EXACT_COMB_LIMIT:
-        out = math.factorial(n)
-        for x in parts:
-            out //= math.factorial(x)
-        return float(out)
-    log_val = math.lgamma(n + 1) - sum(math.lgamma(x + 1) for x in parts)
-    return math.exp(log_val)
+    out = 1
+    for x in parts:
+        out *= math.comb(n, x)
+        n -= x
+    return float(out)
 
 
 @dataclass(frozen=True)
@@ -148,8 +139,9 @@ def prefactor_ratio(n: int, p: int, q: int, t: int, r: int) -> float:
     """Exact value of the normalized binomial-multinomial prefactor.
 
     This is ``sqrt(C(n, p+q-t)) / (sqrt(C(n, p)) sqrt(C(n, q))) *
-    C(n+t-p-q, t-r) * multinomial(p+q-t; p-r, q-r, 2r-t)``, evaluated in
-    log-gamma space (exact integers when every argument is small).  It decays
+    C(n+t-p-q, t-r) * multinomial(p+q-t; p-r, q-r, 2r-t)``, with the
+    binomials in exact integers and the ratio under the root an exact
+    fraction, rounded once before the root is taken.  It decays
     like ``n^(t/2 - r)`` with an (p, q, t, r)-dependent constant; using the
     exact value everywhere keeps every bound a concrete number.
     """
@@ -159,25 +151,10 @@ def prefactor_ratio(n: int, p: int, q: int, t: int, r: int) -> float:
         raise ParameterError(f"need 1 <= r <= t <= p + q - 1, got t={t}, r={r}")
     if r > min(p, q) or 2 * r < t:
         raise ParameterError(f"need ceil(t/2) <= r <= min(p, q), got t={t}, r={r}")
-    small = max(n + t - p - q, n) <= _EXACT_COMB_LIMIT
-    if small:
-        val = math.sqrt(math.comb(n, p + q - t)) / (
-            math.sqrt(math.comb(n, p)) * math.sqrt(math.comb(n, q))
-        )
-        return val * math.comb(n + t - p - q, t - r) * multinomial(
-            p + q - t, (p - r, q - r, 2 * r - t)
-        )
-    log_val = (
-        0.5 * _log_comb(n, p + q - t)
-        - 0.5 * _log_comb(n, p)
-        - 0.5 * _log_comb(n, q)
-        + _log_comb(n + t - p - q, t - r)
-        + math.lgamma(p + q - t + 1)
-        - math.lgamma(p - r + 1)
-        - math.lgamma(q - r + 1)
-        - math.lgamma(2 * r - t + 1)
+    root = Fraction(math.comb(n, p + q - t), math.comb(n, p) * math.comb(n, q))
+    return math.sqrt(root) * math.comb(n + t - p - q, t - r) * multinomial(
+        p + q - t, (p - r, q - r, 2 * r - t)
     )
-    return math.exp(log_val)
 
 
 def prefactor_ratio_normalized(n: int, p: int, q: int, t: int, r: int) -> float:

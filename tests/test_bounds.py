@@ -402,6 +402,18 @@ class TestBoundGeneral:
         with pytest.raises(PreconditionError):
             bound_general(SymmetricKernel(np.full((2, 2), 2.0)), mu, 20, PROFILE)
 
+    @pytest.mark.parametrize("n", [10**6, 10**8])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_large_n_keeps_the_unit_square_sum(self, p, n):
+        # the normalized level norms hold their 1e-9 contract at large n only
+        # when the finite-n binomials are exact
+        rng = np.random.default_rng(1)
+        mu = random_measure(rng, 3)
+        k = random_kernel(rng, p, 3)
+        rep = bound_general(k, mu, n, PROFILE)
+        assert sum(v * v for v in rep.extras["level_norms"]) == pytest.approx(1.0, abs=1e-9)
+        assert math.isfinite(rep.total)
+
 
 class TestOrderDominance:
     def test_total_tracks_the_leading_order_terms(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from ustatkit import (
     regime_experiment,
     variance_lower_bound_check,
 )
+from ustatkit import geomgraph
 from ustatkit.errors import CapacityError, ParameterError, PreconditionError
-from ustatkit.geomgraph import pattern_indicator, regime_targets
+from ustatkit.geomgraph import _unique_rows, pattern_indicator, regime_targets
 from ustatkit.montecarlo import ols_loglog
 
 from helpers import brute_subgraph_count
@@ -23,6 +26,16 @@ EDGE = named_pattern("edge")
 TRIANGLE = named_pattern("triangle")
 PATH3 = named_pattern("path3")
 BOX2 = DensityModel("uniform-box", 2)
+PAW = GraphPattern(np.array([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]]),
+                   name="paw")
+STAR4 = GraphPattern(np.array([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]),
+                     name="star4")
+PATH5 = GraphPattern(np.eye(5, k=1) + np.eye(5, k=-1), name="path5")
+
+
+def lattice(side, d):
+    axes = np.meshgrid(*[np.arange(side, dtype=float)] * d, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
 
 
 class TestGraphPattern:
@@ -104,6 +117,53 @@ class TestCountSubgraphs:
         t = 0.1
         assert count_subgraphs(pts, EDGE, t) == brute_subgraph_count(pts, EDGE, t)
 
+    @pytest.mark.parametrize("pat", [EDGE, TRIANGLE, PATH3, PAW], ids=lambda pat: pat.name)
+    def test_lattice_ties_at_the_radius(self, pat):
+        # lattice neighbours sit at distance exactly 1, which is not below t = 1
+        pts = lattice(4, 2)
+        assert count_subgraphs(pts, pat, 1.0) == 0
+        assert count_subgraphs(pts, pat, 1.5) == brute_subgraph_count(pts, pat, 1.5)
+        pts3 = lattice(3, 3)
+        assert count_subgraphs(pts3, pat, 1.0) == 0
+        if pat.p <= 3:
+            assert count_subgraphs(pts3, pat, 1.5) == brute_subgraph_count(pts3, pat, 1.5)
+
+    @pytest.mark.parametrize("pat", [EDGE, TRIANGLE, PATH3, PAW], ids=lambda pat: pat.name)
+    def test_duplicated_points(self, pat):
+        rng = np.random.default_rng(96)
+        base = rng.random((10, 2))
+        pts = np.concatenate([base, base[:6], base[:2]])
+        t = 0.35
+        assert count_subgraphs(pts, pat, t) == brute_subgraph_count(pts, pat, t)
+
+    @pytest.mark.parametrize("d, t", [(1, 0.1), (2, 0.35), (3, 0.55)])
+    @pytest.mark.parametrize("pat", [PAW, STAR4, PATH5], ids=lambda pat: pat.name)
+    def test_custom_patterns_match_brute_force(self, pat, d, t):
+        # star4 cannot be realized on a line, so its d = 1 count is 0
+        pts = np.random.default_rng(97 + d).random((16, d))
+        assert count_subgraphs(pts, pat, t) == brute_subgraph_count(pts, pat, t)
+
+    def test_dense_case_crosses_anchor_blocks(self):
+        rng = np.random.default_rng(98)
+        pts = rng.random((400, 2))
+        t = 0.3
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        adj = ((d2 > 0.0) & (d2 < t * t)).astype(np.int64)
+        deg = adj.sum(axis=1)
+        i, j = np.nonzero(np.triu(adj))
+        # the 3-set candidates grown from the edges exceed one block
+        assert int((deg[i] + deg[j]).sum()) * 3 > geomgraph._GROW_BUDGET
+        assert count_subgraphs(pts, TRIANGLE, t) == np.trace(adj @ adj @ adj) // 6
+
+    @pytest.mark.parametrize("pat", [PATH3, PAW, PATH5], ids=lambda pat: pat.name)
+    def test_small_blocks_give_the_same_count(self, pat, monkeypatch):
+        rng = np.random.default_rng(99)
+        pts = rng.random((150, 2))
+        t = 0.12
+        whole = count_subgraphs(pts, pat, t)
+        monkeypatch.setattr(geomgraph, "_GROW_BUDGET", 64)
+        assert count_subgraphs(pts, pat, t) == whole > 0
+
     def test_complete_pattern_monotone_in_radius(self):
         rng = np.random.default_rng(95)
         pts = rng.random((60, 2))
@@ -112,6 +172,17 @@ class TestCountSubgraphs:
             cur = count_subgraphs(pts, TRIANGLE, t)
             assert cur >= last
             last = cur
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("n", [50, 600, 2**40])
+    def test_distinct_rows_in_lexicographic_order(self, n):
+        # 600**7 and (2**40)**7 overflow an int64 key: the row-wise branch
+        rng = np.random.default_rng(100)
+        rows = np.sort(rng.integers(0, 50, size=(400, 7)), axis=1)
+        rows = np.concatenate([rows, rows[::3]])
+        expected = sorted(set(map(tuple, rows.tolist())))
+        assert _unique_rows(rows, n).tolist() == [list(r) for r in expected]
 
 
 class TestSchedules:
@@ -218,6 +289,15 @@ class TestGkContractionMc:
             gk_contraction_mc(EDGE, BOX2, 0.2, 2, 2, 1, 2, 10000, seed=0)
         with pytest.raises(ParameterError):
             gk_contraction_mc(EDGE, BOX2, 0.2, 2, 2, 1, 1, 100, seed=0)
+
+    def test_chunks_bound_peak_memory(self):
+        tracemalloc.start()
+        try:
+            gk_contraction_mc(EDGE, BOX2, 0.05, 2, 2, 1, 1, 10_000, seed=34, inner=128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_scaling_slope_smoke(self):
         # coarse two-point check of the scaling direction (full sweep lives in

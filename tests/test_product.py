@@ -16,6 +16,7 @@ from ustatkit import (
 )
 from ustatkit.core import is_degenerate, tensor_inner
 from ustatkit.errors import ParameterError, PreconditionError
+from ustatkit.product import binom, multinomial
 from helpers import exhaustive_mean, random_degenerate, random_measure, ustat_direct
 
 HALF = DiscreteMeasure(np.array([0.5, 0.5]))
@@ -162,13 +163,22 @@ class TestPrefactorRatio:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))  # decreasing
         assert all(math.sqrt(2.0) - 1e-9 <= v <= 2.0 for v in vals)
 
-    def test_log_gamma_agrees_with_exact(self):
-        # exact integer path (small n) vs log-gamma path (same value, big-n code)
-        from ustatkit.product import _log_comb
-        val = prefactor_ratio(10**6, 2, 2, 3, 2)
-        approx_pow = prefactor_ratio_normalized(10**6, 2, 2, 3, 2) * (10**6) ** (3 / 2 - 2)
-        assert val == pytest.approx(approx_pow, rel=1e-12)
-        assert math.exp(_log_comb(18, 5)) == pytest.approx(math.comb(18, 5), rel=1e-12)
+    def test_large_n_matches_exact_rationals(self):
+        # the squared prefactor is a rational number; compare against it exactly
+        from fractions import Fraction
+        for n in (10**4, 10**6, 10**8):
+            for p, q, t, r in ((2, 2, 3, 2), (3, 2, 2, 1), (3, 3, 4, 2)):
+                exact_sq = Fraction(
+                    math.comb(n, p + q - t) * (math.comb(n + t - p - q, t - r)
+                                               * math.factorial(p + q - t)) ** 2,
+                    math.comb(n, p) * math.comb(n, q)
+                    * (math.factorial(p - r) * math.factorial(q - r)
+                       * math.factorial(2 * r - t)) ** 2,
+                )
+                val = prefactor_ratio(n, p, q, t, r)
+                assert Fraction(val) ** 2 / exact_sq == pytest.approx(1.0, rel=1e-14)
+            assert binom(n, 3) == float(math.comb(n, 3))
+            assert multinomial(n, (n - 3, 2, 1)) == float(math.comb(n, 3) * 3)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ParameterError):
