@@ -2,7 +2,10 @@
 
 Every bound here is assembled from exactly computed contraction norms and the
 exact finite-n combinatorial ratio from `product.prefactor_ratio`; no asymptotic
-constant is ever guessed.  The order-dependent constants kappa_p of the
+constant is ever guessed.  The norms of a kernel pair come from one
+`contractions._contraction_table`, the sums run over `product._overlaps`, and
+the bounds that keep only the diagonal contractions share one
+`_diagonal_l4_split`.  The order-dependent constants kappa_p of the
 underlying exchangeable-pair argument are configuration inputs (default 1.0,
 flagged), and each report keeps the kappa contribution as a separate term so
 results stay interpretable under any choice.
@@ -21,10 +24,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import DiscreteMeasure, SymmetricKernel, is_degenerate, lp_norm, tensor_inner
-from .contractions import contract
+from .contractions import _contraction_table
 from .errors import ContractViolationError, ParameterError, PreconditionError
-from .hoeffding import HoeffdingSet, compute_g, decompose, hoeffding_rank, variance
-from .product import binom, prefactor_ratio
+from .hoeffding import HoeffdingSet, _rank, _variance, compute_g, decompose
+from .product import _overlaps, binom, prefactor_ratio
 
 #: coefficient of the contraction block in the one-dimensional bounds
 W1_COEF = math.sqrt(2.0 / math.pi) + 4.0 / 3.0
@@ -108,10 +111,30 @@ def _report(terms: dict, extras: dict, mode: str = "exact-finite-n") -> BoundRep
                        constant_mode=mode, extras=extras)
 
 
-def _self_contraction_norms(psi: SymmetricKernel, mu: DiscreteMeasure) -> dict:
-    p = psi.order
-    return {(r, l): contract(psi, psi, r, l, mu).l2_norm
-            for r in range(0, p + 1) for l in range(0, r + 1)}
+def _diagonal_l4_split(n: int, i: int, k: int, diag_norm):
+    """(diagonal part, L4 part) of the aggregate that keeps the diagonal contractions.
+
+    Over the admissible (t, r) of orders (i, k), the diagonal part sums
+    ``prefactor_ratio(n, i, k, 2s, s) * diag_norm(s)`` (t = 2s, r = s); the L4
+    part sums the ratios of every other (t, r), whose contraction norms the
+    caller replaces by a product of L4 norms.  Even t are summed first.
+    """
+    diag = 0.0
+    l4 = 0.0
+    for t in (*range(2, i + k, 2), *range(1, i + k, 2)):
+        for r in _overlaps(t, i, k):
+            ratio = prefactor_ratio(n, i, k, t, r)
+            if 2 * r == t:
+                diag += ratio * diag_norm(r)
+            else:
+                l4 += ratio
+    return diag, l4
+
+
+def _projection_max(table: dict, s: int, l: int) -> float:
+    # max ||g_i *_r^t g_k|| over 0 <= t <= r <= s, t <= l, r - t <= s - l
+    return max(table[(r, t)].l2_norm for r in range(0, s + 1) for t in range(0, r + 1)
+               if t <= l and r - t <= s - l)
 
 
 def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
@@ -135,15 +158,15 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     if l2 <= 0.0:
         raise PreconditionError("kernel must have positive L2 norm")
     l4 = lp_norm(psi, mu, 4.0)
-    cn = _self_contraction_norms(psi, mu)
+    cn = _contraction_table(psi, psi, mu)
     kap, prov = kappa.get(p)
     kap_term = KAPPA_COEF * math.sqrt(p * kap / n)
 
     b1_terms_by_index = {}
     b1_sum = 0.0
     for t in range(1, 2 * p):
-        for r in range(math.ceil(t / 2), min(t, p) + 1):
-            val = prefactor_ratio(n, p, p, t, r) * cn[(r, t - r)] / l2**2
+        for r in _overlaps(t, p, p):
+            val = prefactor_ratio(n, p, p, t, r) * cn[(r, t - r)].l2_norm / l2**2
             b1_terms_by_index[(t, r)] = val
             b1_sum += val
     b1 = _report(
@@ -152,20 +175,10 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                 "kappa_value": kap, "kappa_provenance": prov, "order": p},
     )
 
-    diag = sum(
-        prefactor_ratio(n, p, p, 2 * s, s) * cn[(s, s)] / l2**2
-        for s in range(1, p)
-    )
-    l4_sum = 0.0
-    for s in range(1, p):
-        for r in range(s + 1, min(2 * s, p) + 1):
-            l4_sum += prefactor_ratio(n, p, p, 2 * s, r)
-    for s in range(1, p + 1):
-        for r in range(s, min(2 * s - 1, p) + 1):
-            l4_sum += prefactor_ratio(n, p, p, 2 * s - 1, r)
+    diag, l4_sum = _diagonal_l4_split(n, p, p, lambda s: cn[(s, s)].l2_norm)
     b2 = _report(
         terms={
-            "contraction": W1_COEF * diag,
+            "contraction": W1_COEF * (diag / l2**2),
             "fourth_moment": W1_COEF * (l4**2 / l2**2) * l4_sum,
             "kappa": kap_term,
         },
@@ -190,10 +203,9 @@ def clt_condition_values(kernels_by_n: Sequence, mu: DiscreteMeasure):
         l2 = lp_norm(psi, mu, 2.0)
         if l2 <= 0.0:
             raise PreconditionError("kernel must have positive L2 norm")
-        p = psi.order
-        cond_i = 0.0
-        for s in range(1, p):
-            cond_i = max(cond_i, contract(psi, psi, s, s, mu).l2_norm / l2**2)
+        cn = _contraction_table(psi, psi, mu)
+        cond_i = max((cn[(s, s)].l2_norm / l2**2 for s in range(1, psi.order)),
+                     default=0.0)
         cond_ii = lp_norm(psi, mu, 4.0) ** 2 / (math.sqrt(n) * l2**2)
         out.append({"n": int(n), "condition_i": cond_i, "condition_ii": cond_ii})
     return out
@@ -219,10 +231,10 @@ def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     if l2 <= 0.0:
         raise PreconditionError("kernel must have positive variance")
     unit = centered.scaled(1.0 / l2)
-    m = hoeffding_rank(unit, mu)
+    hs = decompose(unit, mu)
+    m = _rank(hs, mu)
     if m is None:
         raise PreconditionError("kernel has no active decomposition level")
-    hs = decompose(unit, mu)
     norms = [lp_norm(hs.psi_kernel(s), mu, 2.0) if s >= 1 else 0.0
              for s in range(p + 1)]
 
@@ -268,27 +280,16 @@ def contraction_aggregates(psi_i: SymmetricKernel, psi_k: SymmetricKernel,
     pi, pk = psi_i.order, psi_k.order
     if n < pi + pk:
         raise ParameterError(f"need n >= {pi + pk}, got {n}")
-    cn = {}
-    for r in range(0, min(pi, pk) + 1):
-        for l in range(0, r + 1):
-            cn[(r, l)] = contract(psi_i, psi_k, r, l, mu).l2_norm
+    cn = _contraction_table(psi_i, psi_k, mu)
 
     a1 = 0.0
     for t in range(1, pi + pk):
-        for r in range(math.ceil(t / 2), min(t, pi, pk) + 1):
-            a1 += prefactor_ratio(n, pi, pk, t, r) * cn[(r, t - r)]
+        for r in _overlaps(t, pi, pk):
+            a1 += prefactor_ratio(n, pi, pk, t, r) * cn[(r, t - r)].l2_norm
 
     l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
-    a2 = 0.0
-    for s in range(1, math.ceil((pi + pk) / 2)):
-        if s <= min(pi, pk):
-            a2 += prefactor_ratio(n, pi, pk, 2 * s, s) * cn[(s, s)]
-        for r in range(s + 1, min(2 * s, pi, pk) + 1):
-            a2 += l4 * prefactor_ratio(n, pi, pk, 2 * s, r)
-    for s in range(1, (pi + pk) // 2 + 1):
-        for r in range(s, min(2 * s - 1, pi, pk) + 1):
-            a2 += l4 * prefactor_ratio(n, pi, pk, 2 * s - 1, r)
-    return a1, a2
+    diag, l4_sum = _diagonal_l4_split(n, pi, pk, lambda s: cn[(s, s)].l2_norm)
+    return a1, diag + l4 * l4_sum
 
 
 def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
@@ -388,14 +389,7 @@ def projection_contraction_bound(hs: HoeffdingSet, mu: DiscreteMeasure,
         raise ParameterError(f"levels must lie in [1, {p}], got i={i}, k={k}")
     if not (0 <= l <= s <= min(i, k)):
         raise ParameterError(f"need 0 <= l <= s <= min(i, k), got s={s}, l={l}")
-    gi = hs.g_kernel(i)
-    gk = hs.g_kernel(k)
-    best = 0.0
-    for r in range(0, s + 1):
-        for t in range(0, r + 1):
-            if t <= l and r - t <= s - l:
-                best = max(best, contract(gi, gk, r, t, mu).l2_norm)
-    return best
+    return _projection_max(_contraction_table(hs.g_kernel(i), hs.g_kernel(k), mu), s, l)
 
 
 def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
@@ -420,11 +414,11 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
         raise ParameterError(f"need n >= 2p = {2 * p}, got {n}")
     g0 = float(compute_g(psi, mu, 0))
     centered = psi if abs(g0) <= 1e-14 else psi.shifted(g0)
-    var_n, _ = variance(centered, mu, n)
+    hs = decompose(centered, mu)
+    var_n, _ = _variance(hs, mu, n)
     if var_n <= 0.0:
         raise PreconditionError("statistic must have positive variance")
     sigma = math.sqrt(var_n)
-    hs = decompose(centered, mu)
 
     level_l2 = [0.0] * (p + 1)
     unit_norms = [0.0] * (p + 1)  # L2 norms of the normalized level kernels
@@ -443,26 +437,15 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
             * math.sqrt(binom(n, k)) * binom(n - k, p - k) / (sigma**2)
         )
 
-    g_diag_cache = {}
+    # one projection-contraction table per level pair i <= k
+    tables = {(i, k): _contraction_table(hs.g_kernel(i), hs.g_kernel(k), mu)
+              for i in range(1, p + 1) for k in range(i, p + 1)}
 
     def g_diag(i: int, k: int, s: int) -> float:
-        key = (i, k, s)
-        if key not in g_diag_cache:
-            g_diag_cache[key] = max(
-                contract(hs.g_kernel(i), hs.g_kernel(k), t, t, mu).l2_norm
-                for t in range(0, s + 1)
-            )
-        return g_diag_cache[key]
-
-    g0max_cache = {}
+        return max(tables[(i, k)][(t, t)].l2_norm for t in range(0, s + 1))
 
     def g0max(i: int) -> float:
-        if i not in g0max_cache:
-            g0max_cache[i] = max(
-                contract(hs.g_kernel(i), hs.g_kernel(i), r, 0, mu).l2_norm
-                for r in range(0, i + 1)
-            )
-        return g0max_cache[i]
+        return max(tables[(i, i)][(r, 0)].l2_norm for r in range(0, i + 1))
 
     def b_one(i: int, k: int) -> float:
         out = 0.0
@@ -471,23 +454,15 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                 out += (
                     prefactor_ratio(n, i, k, l + s, s)
                     * prefac(i, k)
-                    * projection_contraction_bound(hs, mu, i, k, s, l)
+                    * _projection_max(tables[(i, k)], s, l)
                 )
         return out
 
     def b_two(i: int, k: int) -> float:
-        pf = prefac(i, k)
         l4ish = math.sqrt(g0max(i) * g0max(k))
-        out = 0.0
-        for s in range(1, math.ceil((i + k) / 2)):
-            if s <= min(i, k):
-                out += prefactor_ratio(n, i, k, 2 * s, s) * pf * g_diag(i, k, s)
-            for r in range(s + 1, min(2 * s, i, k) + 1):
-                out += pf * l4ish * prefactor_ratio(n, i, k, 2 * s, r)
-        for s in range(1, (i + k) // 2 + 1):
-            for r in range(s, min(2 * s - 1, i, k) + 1):
-                out += pf * l4ish * prefactor_ratio(n, i, k, 2 * s - 1, r)
-        return out
+        diag, l4_sum = _diagonal_l4_split(n, i, k, lambda s: g_diag(i, k, s))
+        pf = prefac(i, k)
+        return pf * diag + pf * l4ish * l4_sum
 
     def b_one_env(i: int, k: int) -> float:
         out = 0.0
@@ -496,7 +471,7 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                 out = max(
                     out,
                     float(n) ** (2 * p - (i + k + s - l) / 2.0) / sigma**2
-                    * projection_contraction_bound(hs, mu, i, k, s, l),
+                    * _projection_max(tables[(i, k)], s, l),
                 )
         return out
 

@@ -182,7 +182,7 @@ def _cmd_decompose(args) -> dict:
         "hoeffding_rank": hoeffding.hoeffding_rank(kernel, mu),
     }
     if args.n is not None:
-        v_h, v_g = hoeffding.variance(kernel, mu, args.n)
+        v_h, v_g = hoeffding._variance(hs, mu, args.n)
         result["variance_hoeffding"] = v_h
         result["variance_g"] = v_g
     return result

@@ -61,8 +61,11 @@ def contract(psi: SymmetricKernel, phi: SymmetricKernel, r: int, l: int,
                              l2_norm=tensor_lp_norm(out, mu, 2.0))
 
 
-def _norm(psi, phi, r, l, mu) -> float:
-    return contract(psi, phi, r, l, mu).l2_norm
+def _contraction_table(psi: SymmetricKernel, phi: SymmetricKernel,
+                       mu: DiscreteMeasure) -> dict:
+    """Every contraction ``psi *_r^l phi``, keyed by (r, l), 0 <= l <= r <= min(p, q)."""
+    return {(r, l): contract(psi, phi, r, l, mu)
+            for r in range(0, min(psi.order, phi.order) + 1) for l in range(0, r + 1)}
 
 
 def verify_contraction_inequalities(psi: SymmetricKernel, phi: SymmetricKernel,
@@ -75,6 +78,8 @@ def verify_contraction_inequalities(psi: SymmetricKernel, phi: SymmetricKernel,
     contractions; (vi) the inner-product identity together with its
     Cauchy-Schwarz consequence.  Finite-measure constants are all 1 here
     because mu is a probability measure, so no separate variant is needed.
+    Every right-hand side is an entry of the psi-psi or phi-phi contraction
+    table, so each distinct contraction is computed once.
 
     Returns a report dict with one record per (r, l) and an ``all_pass`` flag.
     Equalities are tested at relative 1e-9, inequalities with additive slack.
@@ -84,41 +89,40 @@ def verify_contraction_inequalities(psi: SymmetricKernel, phi: SymmetricKernel,
     l2_phi = lp_norm(phi, mu, 2.0)
     l4_psi = lp_norm(psi, mu, 4.0)
     l4_phi = lp_norm(phi, mu, 4.0)
+    cross = _contraction_table(psi, phi, mu)
+    pp = _contraction_table(psi, psi, mu)
+    qq = _contraction_table(phi, phi, mu)
 
     records = []
-    for r in range(0, min(p, q) + 1):
-        for l in range(0, r + 1):
-            res = contract(psi, phi, r, l, mu)
-            nsq = res.l2_norm**2
-            rec = {"r": r, "l": l, "norm": res.l2_norm, "well_defined": True}
+    for (r, l), res in cross.items():
+        nsq = res.l2_norm**2
+        rec = {"r": r, "l": l, "norm": res.l2_norm, "well_defined": True}
 
-            rhs2 = _norm(psi, psi, p, p - r + l, mu) * _norm(phi, phi, q, q - r + l, mu)
-            rec["ii"] = {"lhs": nsq, "rhs": rhs2, "ok": nsq <= rhs2 + INEQ_SLACK}
+        rhs2 = pp[(p, p - r + l)].l2_norm * qq[(q, q - r + l)].l2_norm
+        rec["ii"] = {"lhs": nsq, "rhs": rhs2, "ok": nsq <= rhs2 + INEQ_SLACK}
 
-            rhs3 = _norm(psi, psi, p, p - r, mu) * _norm(phi, phi, q, q - r, mu)
-            rec["iii"] = {"lhs": nsq, "rhs": rhs3, "ok": nsq <= rhs3 + INEQ_SLACK}
+        rhs3 = pp[(p, p - r)].l2_norm * qq[(q, q - r)].l2_norm
+        rec["iii"] = {"lhs": nsq, "rhs": rhs3, "ok": nsq <= rhs3 + INEQ_SLACK}
 
-            rhs4 = l4_psi * l4_phi
-            rec["iv"] = {"lhs": res.l2_norm, "rhs": rhs4,
-                         "ok": res.l2_norm <= rhs4 + INEQ_SLACK}
+        rhs4 = l4_psi * l4_phi
+        rec["iv"] = {"lhs": res.l2_norm, "rhs": rhs4,
+                     "ok": res.l2_norm <= rhs4 + INEQ_SLACK}
 
-            if l == r:
-                rhs5 = l2_psi * l2_phi
-                rec["v"] = {"lhs": res.l2_norm, "rhs": rhs5,
-                            "ok": res.l2_norm <= rhs5 + INEQ_SLACK}
+        if l == r:
+            rhs5 = l2_psi * l2_phi
+            rec["v"] = {"lhs": res.l2_norm, "rhs": rhs5,
+                        "ok": res.l2_norm <= rhs5 + INEQ_SLACK}
 
-            left = contract(psi, psi, p - l, p - r, mu)
-            right = contract(phi, phi, q - l, q - r, mu)
-            ip = tensor_inner(left.tensor, right.tensor, mu)
-            eq_ok = abs(nsq - ip) <= EQ_RTOL * (1.0 + abs(ip))
-            rhs6 = _norm(psi, psi, r, l, mu) * _norm(phi, phi, r, l, mu)
-            rec["vi"] = {
-                "lhs": nsq,
-                "inner": ip,
-                "rhs": rhs6,
-                "ok": eq_ok and nsq <= rhs6 + INEQ_SLACK,
-            }
-            records.append(rec)
+        ip = tensor_inner(pp[(p - l, p - r)].tensor, qq[(q - l, q - r)].tensor, mu)
+        eq_ok = abs(nsq - ip) <= EQ_RTOL * (1.0 + abs(ip))
+        rhs6 = pp[(r, l)].l2_norm * qq[(r, l)].l2_norm
+        rec["vi"] = {
+            "lhs": nsq,
+            "inner": ip,
+            "rhs": rhs6,
+            "ok": eq_ok and nsq <= rhs6 + INEQ_SLACK,
+        }
+        records.append(rec)
 
     all_pass = all(
         rec[item]["ok"]

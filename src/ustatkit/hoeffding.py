@@ -4,6 +4,9 @@ The decomposition writes the order-p statistic as a binomially weighted sum
 of degenerate statistics of orders 0..p.  Both classical constructions of
 the degenerate kernels (the alternating-sum formula over the projection
 functions and the order recursion) are computed and cross-checked entrywise.
+U-statistic values come from symbol counts through one vectorized evaluator,
+`ustat_values_from_count_matrix`, which the product check and the Monte Carlo
+harness share.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,16 +50,24 @@ class HoeffdingSet:
     source: SymmetricKernel
     g: tuple
     psi: tuple
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return self.source.order
 
+    def _kernel(self, family: str, k: int) -> SymmetricKernel:
+        # each level is wrapped (and symmetry-checked) once, on first use
+        key = (family, k)
+        if key not in self._kernels:
+            self._kernels[key] = SymmetricKernel(getattr(self, family)[k])
+        return self._kernels[key]
+
     def g_kernel(self, k: int) -> SymmetricKernel:
-        return SymmetricKernel(self.g[k])
+        return self._kernel("g", k)
 
     def psi_kernel(self, s: int) -> SymmetricKernel:
-        return SymmetricKernel(self.psi[s])
+        return self._kernel("psi", s)
 
 
 def compute_g(kernel: SymmetricKernel, mu: DiscreteMeasure, k: int) -> np.ndarray:
@@ -133,25 +144,32 @@ def _multiset_terms(values: np.ndarray):
     return terms
 
 
-def ustat_from_counts(values: np.ndarray, counts: np.ndarray) -> float:
-    """U-statistic value from symbol counts.
+def _choose_vec(c: np.ndarray, k: int) -> np.ndarray:
+    # falling factorial / k!; exact while the falling factorial stays below 2**53
+    out = np.ones(c.shape, dtype=float)
+    for i in range(k):
+        out *= (c - i)
+    out[out < 0.0] = 0.0
+    return out / math.factorial(k)
+
+
+def ustat_values_from_count_matrix(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """U-statistic values for each row of a (rows, alphabet) symbol-count matrix.
 
     The sum over strictly increasing index tuples depends on the sample only
     through its symbol counts: each value multiset contributes the kernel value
-    times the product of per-symbol binomial coefficients.  Exact for any n.
+    times the product of per-symbol binomial coefficients.
     """
-    total = 0.0
+    out = np.zeros(counts.shape[0], dtype=float)
     for combo, mults in _multiset_terms(values):
         v = float(values[combo])
         if v == 0.0:
             continue
-        w = 1.0
+        w = np.ones(counts.shape[0], dtype=float)
         for sym, mult in mults:
-            w *= math.comb(int(counts[sym]), mult)
-            if w == 0.0:
-                break
-        total += v * w
-    return total
+            w *= _choose_vec(counts[:, sym].astype(float), mult)
+        out += v * w
+    return out
 
 
 def ustat_value(kernel, x: Sequence[int]) -> float:
@@ -170,7 +188,7 @@ def ustat_value(kernel, x: Sequence[int]) -> float:
     if xs.size and (xs.min() < 0 or xs.max() >= m):
         raise ParameterError("sample symbols must lie in the kernel alphabet")
     counts = np.bincount(xs, minlength=m)
-    return ustat_from_counts(kernel.values, counts)
+    return float(ustat_values_from_count_matrix(kernel.values, counts[None, :])[0])
 
 
 def hoeffding_sum(hs: HoeffdingSet, n: int, x: Sequence[int]) -> float:
@@ -205,11 +223,14 @@ def variance(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int):
     projection-function form.  Both are computed exactly and must agree to
     relative 1e-9; both must dominate the ``C(n, p) Var(psi)`` lower bound.
     """
-    _check_same_alphabet(kernel, mu)
-    p = kernel.order
+    return _variance(decompose(kernel, mu), mu, n)
+
+
+def _variance(hs: HoeffdingSet, mu: DiscreteMeasure, n: int):
+    # `variance` on an existing decomposition of its kernel
+    p = hs.order
     if n < p:
         raise ParameterError(f"sample size {n} is below the kernel order {p}")
-    hs = decompose(kernel, mu)
     g0 = float(hs.g[0])
 
     v_h = 0.0
@@ -228,7 +249,7 @@ def variance(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int):
         raise ContractViolationError(
             f"variance formulas disagree: {v_h!r} vs {v_g!r}"
         )
-    lower = math.comb(n, p) * (tensor_lp_norm(kernel.values, mu, 2.0) ** 2 - g0 * g0)
+    lower = math.comb(n, p) * (tensor_lp_norm(hs.source.values, mu, 2.0) ** 2 - g0 * g0)
     if v_h < lower - 1e-9 * (1.0 + abs(lower)):
         raise ContractViolationError(
             f"variance {v_h!r} fell below its lower bound {lower!r}"
@@ -244,12 +265,14 @@ def hoeffding_rank(kernel: SymmetricKernel, mu: DiscreteMeasure,
     statistics).  The rank computed from the degenerate kernels must match
     the one computed from the projection-function variances.
     """
-    _check_same_alphabet(kernel, mu)
     g0 = float(compute_g(kernel, mu, 0))
     centered = kernel if abs(g0) <= tol else kernel.shifted(g0)
-    hs = decompose(centered, mu)
-    p = kernel.order
+    return _rank(decompose(centered, mu), mu, tol)
 
+
+def _rank(hs: HoeffdingSet, mu: DiscreteMeasure, tol: float = RANK_TOL) -> Optional[int]:
+    # `hoeffding_rank` on an existing decomposition of a (near-)centered kernel
+    p = hs.order
     rank_psi = None
     for s in range(1, p + 1):
         if tensor_lp_norm(hs.psi[s], mu, 2.0) ** 2 > tol:

@@ -19,7 +19,7 @@ from scipy.special import ndtri
 
 from .core import ContinuousKernelSpec, DiscreteMeasure, SymmetricKernel
 from .errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
-from .hoeffding import _multiset_terms, compute_g, variance
+from .hoeffding import compute_g, ustat_values_from_count_matrix, variance
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,30 +69,6 @@ class ReplicateSet:
     @property
     def replicates(self) -> int:
         return int(self.values.size)
-
-
-def _choose_vec(c: np.ndarray, k: int) -> np.ndarray:
-    # falling factorial / k!; counts are small enough that float64 is exact
-    # to ~1 ulp even at n = 1e4, k = 4
-    out = np.ones(c.shape, dtype=float)
-    for i in range(k):
-        out *= (c - i)
-    out[out < 0.0] = 0.0
-    return out / math.factorial(k)
-
-
-def ustat_values_from_count_matrix(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized U-statistic evaluation across a (replicates, alphabet) count matrix."""
-    out = np.zeros(counts.shape[0], dtype=float)
-    for combo, mults in _multiset_terms(values):
-        v = float(values[combo])
-        if v == 0.0:
-            continue
-        w = np.ones(counts.shape[0], dtype=float)
-        for sym, mult in mults:
-            w *= _choose_vec(counts[:, sym].astype(float), mult)
-        out += v * w
-    return out
 
 
 def _simulate_discrete(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int,

@@ -19,6 +19,7 @@ from ustatkit import (
     projection_contraction_bound,
     lp_norm,
 )
+from ustatkit import bounds, hoeffding
 from ustatkit.bounds import KAPPA_COEF, W1_COEF
 from ustatkit.errors import ParameterError, PreconditionError
 from ustatkit.product import prefactor_ratio
@@ -433,3 +434,30 @@ class TestOrderDominance:
             pure = max(l4**2 / (math.sqrt(n) * l2**2), diag, 1.0 / math.sqrt(n))
             ratios.append(b2.total / pure)
         assert max(ratios) <= 3.0 * min(ratios)
+
+
+class TestOneDecompositionPerCall:
+    @pytest.fixture
+    def decompose_calls(self, monkeypatch):
+        calls = []
+        real = hoeffding.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].order)
+            return real(*args, **kwargs)
+
+        for module in (hoeffding, bounds):
+            monkeypatch.setattr(module, "decompose", counting)
+        return calls
+
+    def test_bound_general(self, decompose_calls):
+        rng = np.random.default_rng(90)
+        mu = random_measure(rng, 3)
+        bound_general(random_kernel(rng, 3, 3), mu, 20, PROFILE)
+        assert len(decompose_calls) == 1
+
+    def test_bound_dominant(self, decompose_calls):
+        rng = np.random.default_rng(91)
+        mu = random_measure(rng, 3)
+        bound_dominant(random_kernel(rng, 3, 3), mu, 20)
+        assert len(decompose_calls) == 1

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ustatkit import (
     lp_norm,
     verify_contraction_inequalities,
 )
+from ustatkit import contractions
 from ustatkit.core import tensor_inner
 from ustatkit.errors import ParameterError
 
@@ -117,3 +120,21 @@ class TestInequalitySuite:
             a = contract(psi, psi, 2 - l, 2 - r, mu).tensor
             b = contract(phi, phi, 2 - l, 2 - r, mu).tensor
             assert tensor_inner(a, b, mu) == pytest.approx(tensor_inner(b, a, mu), rel=1e-12)
+
+    def test_each_contraction_is_computed_once(self, monkeypatch):
+        seen = Counter()
+        real = contractions.contract
+
+        def counting(a, b, r, l, mu):
+            seen[(id(a), id(b), r, l)] += 1
+            return real(a, b, r, l, mu)
+
+        monkeypatch.setattr(contractions, "contract", counting)
+        rng = np.random.default_rng(38)
+        mu = random_measure(rng, 3)
+        psi = random_kernel(rng, 3, 3)
+        phi = random_kernel(rng, 2, 3)
+        assert verify_contraction_inequalities(psi, phi, mu)["all_pass"]
+        assert seen and max(seen.values()) == 1
+        # the psi-phi, psi-psi and phi-phi tables, each (r, l) once
+        assert sum(seen.values()) == 6 + 10 + 6

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ustatkit import (
     variance,
 )
 from ustatkit.errors import ParameterError
-from ustatkit.hoeffding import hoeffding_sum, ustat_from_counts
+from ustatkit.hoeffding import hoeffding_sum, ustat_values_from_count_matrix
 
 from helpers import (
     all_samples,
@@ -112,6 +114,43 @@ class TestUstatValue:
             assert ustat_value(k, x) == pytest.approx(ustat_direct(k, list(x)), abs=1e-9)
 
 
+class TestCountEvaluator:
+    def test_count_matrix_matches_direct_sums(self):
+        # every sample of a small space as one row, with rows of zeros mixed in
+        rng = np.random.default_rng(40)
+        for p, m, n in ((1, 3, 4), (2, 3, 4), (3, 3, 5), (4, 2, 6)):
+            k = random_kernel(rng, p, m)
+            samples = list(all_samples(m, n))
+            rows = [np.bincount(np.asarray(x), minlength=m) for x in samples]
+            zero = np.zeros(m, dtype=int)
+            counts = np.array([zero] + rows[: len(rows) // 2] + [zero] + rows[len(rows) // 2:])
+            want = [ustat_direct(k, x) for x in samples]
+            want = [0.0] + want[: len(want) // 2] + [0.0] + want[len(want) // 2:]
+            got = ustat_values_from_count_matrix(k.values, counts)
+            assert got.shape == (len(want),)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_large_n_matches_exact_rational_sum(self):
+        # n = 10^4, order 4: falling factorials pass 2**53, so the float
+        # binomials round; the sum must still match the exact one closely
+        rng = np.random.default_rng(41)
+        m, n = 3, 10**4
+        k = random_kernel(rng, 4, m)
+        counts = np.vstack([rng.multinomial(n, [0.2, 0.3, 0.5], size=4),
+                            [[n, 0, 0], [0, n - 1, 1]]])
+        got = ustat_values_from_count_matrix(k.values, counts)
+        for row, value in zip(counts, got):
+            terms = []
+            for combo in itertools.combinations_with_replacement(range(m), 4):
+                weight = 1
+                for sym in set(combo):
+                    weight *= math.comb(int(row[sym]), combo.count(sym))
+                terms.append(Fraction(float(k.values[combo])) * weight)
+            exact = sum(terms)
+            scale = float(sum(abs(t) for t in terms))
+            assert abs(Fraction(float(value)) - exact) <= Fraction(1e-12) * Fraction(scale)
+
+
 class TestReconstruction:
     def test_degenerate_kernel_reconstructs(self):
         rng = np.random.default_rng(13)
@@ -174,8 +213,9 @@ class TestOrthogonality:
             for s in range(1, p + 1):
                 for t in range(s + 1, p + 1):
                     def prod(x, s=s, t=t):
-                        js = ustat_from_counts(hs.psi[s], np.bincount(np.asarray(x), minlength=m))
-                        jt = ustat_from_counts(hs.psi[t], np.bincount(np.asarray(x), minlength=m))
+                        counts = np.bincount(np.asarray(x), minlength=m)[None, :]
+                        js = ustat_values_from_count_matrix(hs.psi[s], counts)[0]
+                        jt = ustat_values_from_count_matrix(hs.psi[t], counts)[0]
                         return js * jt
                     assert abs(exhaustive_mean(prod, m, n, mu)) <= 1e-9
 
