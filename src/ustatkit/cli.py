@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     UstatError,
 )
-from .product import product_kernels, verify_product_formula
+from .product import _residual, product_kernels
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -151,18 +151,6 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_threads(args) -> int:
-    # accepted for interface stability; all operations are deterministic
-    # single-threaded computations, so the value only lands in the config echo
-    if args.threads is not None:
-        value = args.threads
-    else:
-        value = int(os.environ.get("USTAT_THREADS", "1"))
-    if value < 1:
-        raise ParameterError("field 'threads' must be >= 1")
-    return value
-
-
 def _cmd_decompose(args) -> dict:
     kernel = load_kernel(args.kernel)
     mu = load_measure(args.measure)
@@ -207,7 +195,7 @@ def _cmd_product_check(args) -> dict:
     phi = load_kernel(args.phi)
     mu = load_measure(args.measure)
     pk = product_kernels(psi, phi, args.n, mu)
-    residual = verify_product_formula(psi, phi, args.n, mu, mc=args.mc, seed=args.seed)
+    residual = _residual(pk, psi, phi, mu, args.mc, args.seed)
     per_t = {}
     for t, level in enumerate(pk.levels):
         if isinstance(level, float):
@@ -304,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("decompose", help="projection functions, level kernels, rank")
@@ -378,12 +365,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args)
         result = _HANDLERS[args.command](args)
         # output destinations are not part of the experiment configuration
         config = {k: v for k, v in vars(args).items()
                   if k not in ("out", "csv", "dump")}
-        config["threads"] = threads
         report = {"command": args.command, "config": config, "result": result}
         _emit(report, args.out)
         return EXIT_OK

@@ -3,8 +3,9 @@
 A graph is built on n sampled points with edges between distinct points at
 Euclidean distance strictly between 0 and the radius; the statistic counts
 p-subsets whose induced graph is isomorphic to a fixed connected pattern.
-Counting is exact: a KD-tree lists the pairs within the radius once, the
-strict predicate keeps the edges, and for p >= 3 the connected induced vertex
+Counting is exact: a KD-tree lists the pairs within the radius once (edge
+counts of points on a line come from sorting instead), the strict predicate
+keeps the edges, and for p >= 3 the connected induced vertex
 sets of that graph are grown from its edges (as in Wernicke's ESU motif
 enumeration, IEEE/ACM TCBB 2006) and classified by their adjacency bit codes
 against the pattern's precomputed isomorphism codes.
@@ -23,7 +24,9 @@ from scipy.spatial import cKDTree
 from .errors import CapacityError, ParameterError, PreconditionError
 from .montecarlo import (
     NormalizationRecord,
+    Purpose,
     ReplicateSet,
+    _replicates,
     coupling_bias,
     debiased_distance,
     fit_distance_powerlaw,
@@ -33,13 +36,6 @@ from .montecarlo import (
 )
 
 MAX_PATTERN_VERTICES = 7
-
-_FEASIBILITY_STREAM = (1 << 62) + 90
-_QPROB_STREAM = (1 << 62) + 91
-_VARBOOT_STREAM = (1 << 62) + 100
-_GK_OUTER_STREAM = (1 << 62) + 200
-_GK_INNER_A_STREAM = (1 << 62) + 201
-_GK_INNER_B_STREAM = (1 << 62) + 202
 
 #: elements of the (chunk, inner, p, p, d) difference array that
 #: ``geometric_codes`` builds per kernel evaluation in ``gk_contraction_mc``
@@ -165,6 +161,41 @@ def _strict_pairs(pts: np.ndarray, t: float):
     return pairs, (d2 > 0.0) & (d2 < t * t)
 
 
+def _strict_count_1d(x: np.ndarray, t: float) -> int:
+    """Pairs of the values x at 0 < (x_i - x_j)**2 < t*t, without listing them.
+
+    In sorted order the squared gap to a value is non-decreasing in the
+    partner's rank, so the partners above each value form one run: from the
+    first value whose squared gap is not 0 to the first whose squared gap is
+    not below t*t.
+    """
+    x = np.sort(x)
+    t2 = t * t
+    lo = _run_end(x, np.searchsorted(x, x, side="right"), lambda d2: d2 == 0.0)
+    hi = _run_end(x, lo, lambda d2: d2 < t2, np.searchsorted(x, x + t))
+    return int(np.sum(hi - lo))
+
+
+def _run_end(x: np.ndarray, start: np.ndarray, keep, guess=None) -> np.ndarray:
+    """Per i, the first j >= start[i] with not keep((x[j] - x[i])**2), or x.size.
+
+    ``keep`` must hold on a prefix of each row's range.  A guess is kept where
+    the predicate confirms it; every other row is bisected on [start, x.size].
+    """
+    n = x.size
+    end = np.maximum(start, start if guess is None else guess)
+    below = keep((x[np.maximum(end - 1, 0)] - x) ** 2) | (end == start)
+    above = ~keep((x[np.minimum(end, n - 1)] - x) ** 2) | (end == n)
+    rows = np.flatnonzero(~(below & above))
+    a, b = start[rows], np.full(rows.size, n)
+    while (active := a < b).any():
+        m = (a + b) // 2
+        ok = active & keep((x[np.minimum(m, n - 1)] - x[rows]) ** 2)
+        a, b = np.where(ok, m + 1, a), np.where(active & ~ok, m, b)
+    end[rows] = a
+    return end
+
+
 def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Distinct rows of an array of vertex indices below n, in lexicographic order.
 
@@ -267,7 +298,8 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     Edges join points at squared distance strictly between 0 and t**2, the
     same predicate ``geometric_codes`` applies, so ties at distance t and
     coincident points are never adjacent.  A KD-tree lists the pairs within t
-    once.  For p >= 3 the connected induced vertex sets of that graph are
+    once; edges of points on a line are counted from the sorted values
+    instead.  For p >= 3 the connected induced vertex sets of that graph are
     grown level by level from its edges (a set takes any neighbour of a
     member above the set's minimum, and duplicates are dropped), and each
     p-set is classified by its adjacency bit code against the pattern's
@@ -281,6 +313,8 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
         raise ParameterError(f"need at least {p} points, got {n}")
     if t <= 0:
         return 0
+    if p == 2 and pts.shape[1] == 1:
+        return _strict_count_1d(pts[:, 0], t)
     pairs, mask = _strict_pairs(pts, t)
     if p == 2:
         return int(np.count_nonzero(mask))
@@ -432,7 +466,7 @@ def _feasibility_probe(pat, density, t, seed, trials=20_000) -> float:
     """
     p = pat.p
     d = density.dimension
-    rng = stream(seed, _FEASIBILITY_STREAM)
+    rng = stream(seed, Purpose.FEASIBILITY)
     anchors = density.sample(rng, trials)
     offsets = rng.uniform(-1.0, 1.0, size=(trials, p - 1, d)) * (p - 1) * t
     pts = np.concatenate([anchors[:, None, :], anchors[:, None, :] + offsets], axis=1)
@@ -446,10 +480,11 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
     """Sweep sample sizes along a radius schedule and fit scaling exponents.
 
     Per n: ``reps`` replicate counts (replicate j of the i-th sample size reads
-    the stream keyed by (seed, (i + 1) << 32 | j)), mean and variance with
-    bootstrap standard errors, the coupling distance of the empirically
-    normalized counts to the normal, the estimator's calibrated noise floor at
-    this replicate budget, and the floor-debiased distance.  Exponents for the
+    the stream (seed, REPLICATE, i + 1, j)), mean and variance with bootstrap
+    standard errors, the coupling distance of the empirically normalized
+    counts to the normal, the estimator's calibrated noise floor at this
+    replicate budget, and the floor-debiased distance.  Both bootstraps of the
+    i-th sample size use slot i + 1 of their purposes.  Exponents for the
     mean, variance and distance are least-squares log-log fits; targets carry
     regime flags (the dense-uniform regime only ever yields bounds).
     """
@@ -480,21 +515,20 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
     records = []
     for ni, n in enumerate(ns):
         t = schedule.radius(n, d)
-        counts = np.empty(reps, dtype=float)
-        for j in range(reps):
-            rng = stream(seed, ((ni + 1) << 32) | j)
-            counts[j] = count_subgraphs(density.sample(rng, n), pat, t)
+        counts = _replicates(np.empty(reps), lambda rng: count_subgraphs(
+            density.sample(rng, n), pat, t), seed, Purpose.REPLICATE, ni + 1)
         mean = float(counts.mean())
         var = float(counts.var(ddof=1))
-        boot_rng = stream(seed, _VARBOOT_STREAM + ni)
-        mean_se, var_se = _bootstrap_stats(counts, boot_rng, bootstrap)
+        mean_se, var_se = _bootstrap_stats(
+            counts, stream(seed, Purpose.VARBOOT, ni + 1), bootstrap)
         sd = math.sqrt(var) if var > 0 else 0.0
         if sd > 0:
             rep = ReplicateSet(
                 values=(counts - mean) / sd,
                 n=n,
-                seed=seed + 1_000_003 * (ni + 1),
+                seed=seed,
                 normalization=NormalizationRecord(mean=mean, sd=sd, source="empirical"),
+                slot=ni + 1,
             )
             dw = wasserstein_to_normal(rep, bootstrap=bootstrap)
             dw_val, dw_se = dw.value, dw.stderr
@@ -567,27 +601,24 @@ def variance_lower_bound_check(pat: GraphPattern, density: DensityModel,
     The pattern indicator is its own square, so the single-tuple variance is
     q - q^2 with q the pattern probability; the count variance can never fall
     below the binomially weighted single-tuple variance.  Returns both sides
-    with standard errors and an ``ok`` flag at three combined SEs.
+    with standard errors and an ``ok`` flag at three combined SEs.  Replicate
+    j reads the stream (seed, VARCHECK, n, j), so n must stay below 2**24.
     """
     if not density.is_uniform:
         raise ParameterError("the variance lower bound check targets uniform densities")
     p = pat.p
-    counts = np.empty(reps, dtype=float)
-    for j in range(reps):
-        rng = stream(seed, (n << 32) | j)
-        counts[j] = count_subgraphs(density.sample(rng, n), pat, t)
+    counts = _replicates(np.empty(reps), lambda rng: count_subgraphs(
+        density.sample(rng, n), pat, t), seed, Purpose.VARCHECK, n)
     lhs = float(counts.var(ddof=1))
-    _, lhs_se = _bootstrap_stats(counts, stream(seed, _VARBOOT_STREAM), 200)
+    _, lhs_se = _bootstrap_stats(counts, stream(seed, Purpose.VARBOOT), 200)
 
-    qrng = stream(seed, _QPROB_STREAM)
+    qrng = stream(seed, Purpose.QPROB)
     hits = 0.0
-    done = 0
     chunk = 50_000
-    while done < q_samples:
+    for done in range(0, q_samples, chunk):
         b = min(chunk, q_samples - done)
         pts = density.sample(qrng, b * p).reshape(b, p, density.dimension)
         hits += float(pattern_indicator(pts, pat, t).sum())
-        done += b
     q_hat = hits / q_samples
     q_se = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / q_samples)
     cnp = math.comb(n, p)
@@ -654,9 +685,9 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
     n_comp_i = p - i
     n_comp_k = p - k
 
-    outer_rng = stream(seed, _GK_OUTER_STREAM)
-    rng_a = stream(seed, _GK_INNER_A_STREAM)
-    rng_b = stream(seed, _GK_INNER_B_STREAM)
+    outer_rng = stream(seed, Purpose.GK_OUTER)
+    rng_a = stream(seed, Purpose.GK_INNER_A)
+    rng_b = stream(seed, Purpose.GK_INNER_B)
 
     def inner_mean(rng, y_share, y_own_i, y_own_k, c):
         # one inner copy: average over `inner` draws of the product of the two
@@ -678,8 +709,7 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
     chunk = max(1, min(mc_samples, _GK_CHUNK_ELEMENTS // (inner * p * p * d)))
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < mc_samples:
+    for done in range(0, mc_samples, chunk):
         c = min(chunk, mc_samples - done)
         y = density.sample(outer_rng, c * n_outer).reshape(c, n_outer, d) \
             if n_outer else np.zeros((c, 0, d))
@@ -690,7 +720,6 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
             inner_mean(rng_b, y_share, y_own_i, y_own_k, c)
         total += float(est.sum())
         total_sq += float(np.dot(est, est))
-        done += c
 
     sq_mean = total / mc_samples
     sq_var = max(total_sq / mc_samples - sq_mean**2, 0.0)

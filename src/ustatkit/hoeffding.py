@@ -26,7 +26,7 @@ from .core import (
     _check_same_alphabet,
     tensor_lp_norm,
 )
-from .errors import CapacityError, ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError
 
 #: variance threshold deciding whether a decomposition level is "active"
 RANK_TOL = 1e-10
@@ -289,10 +289,3 @@ def _rank(hs: HoeffdingSet, mu: DiscreteMeasure, tol: float = RANK_TOL) -> Optio
             f"rank mismatch between constructions: {rank_psi} vs {rank_g}"
         )
     return rank_psi
-
-
-def enumerate_samples(m: int, n: int):
-    """All m^n samples, guarded by the exact-enumeration cap."""
-    if m**n > ENUMERATION_CAP:
-        raise CapacityError(f"{m}^{n} states exceed the enumeration cap {ENUMERATION_CAP}")
-    return itertools.product(range(m), repeat=n)

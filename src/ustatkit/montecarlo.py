@@ -1,16 +1,19 @@
 """Replicated simulation of U-statistics and empirical distances to the normal.
 
-Randomness comes from counter-based Philox streams keyed by (seed, stream
-index): replicate j always reads stream (seed, j) regardless of execution
-order, so every result is reproducible and independent of any parallelism.
-Auxiliary consumers (bootstrap, calibration, feasibility probes) use large
-fixed stream indices that replicate indices can never reach.
+Randomness comes from counter-based Philox streams that ``stream`` alone
+builds, keyed by (seed, purpose << 56 | slot << 32 | j) with the purpose from
+the ``Purpose`` registry; range checks make the key injective (Salmon et al.
+2011).  Replicate j of slot s reads (seed, REPLICATE, s, j) whatever the
+execution order: slot 0 in ``simulate``, slot i + 1 for the i-th sample size
+of a regime sweep.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -21,24 +24,64 @@ from .core import ContinuousKernelSpec, DiscreteMeasure, SymmetricKernel
 from .errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
 from .hoeffding import compute_g, ustat_values_from_count_matrix, variance
 
-_MASK64 = (1 << 64) - 1
-
-#: reserved stream indices; replicate streams use small consecutive integers
-BOOTSTRAP_STREAM = 1 << 62
-CALIBRATION_STREAM = (1 << 62) + 1
-GAUSSIAN_STREAM = (1 << 62) + 2
-VALIDATION_STREAM = (1 << 62) + 3
-
 #: direct p-subset enumeration caps for continuous kernels
 CONTINUOUS_N_CAP = {1: 10**6, 2: 10**4, 3: 500}
 
 MIN_REPLICATES_FOR_DISTANCE = 100
 
 
-def stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, stream index) pair."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+@enum.unique
+class Purpose(enum.IntEnum):
+    """Registry of stream purposes; a purpose is the top byte of key word 1."""
+
+    REPLICATE = 0      # replicate j of slot s
+    BOOTSTRAP = 1      # distance bootstrap of a replicate set's slot
+    CALIBRATION = 2    # noise floor of the coupling distance
+    GAUSSIAN = 3       # normal side of a smooth distance
+    VALIDATION = 4     # symmetry check of a continuous evaluator
+    PRODUCT_CHECK = 5  # sampled count vectors of the product-formula check
+    FEASIBILITY = 6    # pattern feasibility probe of a regime sweep
+    QPROB = 7          # pattern probability of the variance check
+    VARBOOT = 8        # count moment bootstrap: slot 0 variance check, i + 1 sweep
+    VARCHECK = 9       # variance-check replicate j at sample size n (slot n)
+    GK_OUTER = 10      # outer samples of the projection-contraction estimate
+    GK_INNER_A = 11    # first inner copy of the projection-contraction estimate
+    GK_INNER_B = 12    # second inner copy of the projection-contraction estimate
+
+
+def _check_key(seed: int, purpose: Purpose, slot: int, j: int) -> None:
+    if not (isinstance(purpose, Purpose) and 0 <= operator.index(seed) < 2**64
+            and 0 <= operator.index(slot) < 2**24 and 0 <= operator.index(j) < 2**32):
+        raise ParameterError(f"stream key needs 0 <= seed < 2**64, a Purpose, 0 <= slot < "
+                             f"2**24 and 0 <= j < 2**32; got seed {seed}, {purpose!r}, "
+                             f"slot {slot}, j {j}")
+
+
+def stream(seed: int, purpose: Purpose, slot: int = 0, j: int = 0, *,
+           _checked: bool = True) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, purpose << 56 | slot << 32 | j).
+
+    Raises ParameterError when a field is out of range, so the key is
+    injective; ``_replicates`` checks its whole index range once instead.
+    """
+    if _checked:
+        _check_key(seed, purpose, slot, j)
+    key = np.array([seed, purpose << 56 | slot << 32 | j], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _replicates(out: np.ndarray, draw: Callable[[np.random.Generator], object],
+                seed: int, purpose: Purpose = Purpose.REPLICATE,
+                slot: int = 0) -> np.ndarray:
+    """Fill ``out[j] = draw(stream(seed, purpose, slot, j))`` for every row j of ``out``.
+
+    Replicate j reads only its own stream, so the values do not depend on the
+    order in which replicates run; the key range is checked once per call.
+    """
+    _check_key(seed, purpose, slot, max(out.shape[0] - 1, 0))
+    for j in range(out.shape[0]):
+        out[j] = draw(stream(seed, purpose, slot, j, _checked=False))
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,12 +93,13 @@ class NormalizationRecord:
 
 @dataclass(frozen=True)
 class ReplicateSet:
-    """Normalized per-replicate statistic values plus how they were normalized."""
+    """Normalized replicate values, how they were normalized, and their stream slot."""
 
     values: np.ndarray
     n: int
     seed: int
     normalization: NormalizationRecord
+    slot: int = 0
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float, copy=True)
@@ -69,33 +113,6 @@ class ReplicateSet:
     @property
     def replicates(self) -> int:
         return int(self.values.size)
-
-
-def _simulate_discrete(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int,
-                       reps: int, seed: int, normalization: str) -> ReplicateSet:
-    p = kernel.order
-    if n < p:
-        raise ParameterError(f"need n >= p = {p}, got {n}")
-    # J_p depends on the sample only through its symbol counts, so each
-    # replicate draws counts directly from the multinomial law of the sample
-    counts = np.empty((reps, mu.alphabet_size), dtype=np.int64)
-    for j in range(reps):
-        counts[j] = stream(seed, j).multinomial(n, mu.weights)
-    raw = ustat_values_from_count_matrix(kernel.values, counts)
-
-    if normalization == "exact":
-        mean = math.comb(n, p) * float(compute_g(kernel, mu, 0))
-        var_n, _ = variance(kernel, mu, n)
-        if var_n <= 0.0:
-            raise PreconditionError("exact normalization needs positive variance")
-        sd = math.sqrt(var_n)
-    else:
-        mean = float(raw.mean())
-        sd = float(raw.std(ddof=1))
-        if sd <= 0.0:
-            raise PreconditionError("replicates are constant; cannot normalize empirically")
-    rec = NormalizationRecord(mean=mean, sd=sd, source=normalization)
-    return ReplicateSet(values=(raw - mean) / sd, n=n, seed=seed, normalization=rec)
 
 
 def _continuous_ustat(spec: ContinuousKernelSpec, pts: np.ndarray) -> float:
@@ -127,7 +144,7 @@ def _continuous_ustat(spec: ContinuousKernelSpec, pts: np.ndarray) -> float:
 def _check_evaluator_symmetry(spec: ContinuousKernelSpec, seed: int,
                               trials: int = 6) -> None:
     # sampled permutation-invariance check on a dedicated stream
-    rng = stream(seed, VALIDATION_STREAM)
+    rng = stream(seed, Purpose.VALIDATION)
     pts = np.asarray(spec.sampler(rng, trials * spec.order), dtype=float)
     pts = pts.reshape(trials, spec.order, spec.dimension)
     base = np.asarray(spec.evaluator(pts), dtype=float)
@@ -138,10 +155,7 @@ def _check_evaluator_symmetry(spec: ContinuousKernelSpec, seed: int,
             raise ParameterError("continuous kernel evaluator is not symmetric")
 
 
-def _simulate_continuous(spec: ContinuousKernelSpec, n: int, reps: int, seed: int,
-                         normalization: str) -> ReplicateSet:
-    if normalization == "exact":
-        raise ConfigurationError("exact normalization is only available for discrete kernels")
+def _continuous_raw(spec: ContinuousKernelSpec, n: int, reps: int, seed: int) -> np.ndarray:
     p = spec.order
     if n < p:
         raise ParameterError(f"need n >= p = {p}, got {n}")
@@ -152,16 +166,8 @@ def _simulate_continuous(spec: ContinuousKernelSpec, n: int, reps: int, seed: in
         raise CapacityError(f"continuous kernels of order {p} are not enumerable")
     if n > cap:
         raise CapacityError(f"continuous order-{p} kernels are capped at n = {cap}")
-    raw = np.empty(reps, dtype=float)
-    for j in range(reps):
-        pts = np.asarray(spec.sampler(stream(seed, j), n), dtype=float)
-        raw[j] = _continuous_ustat(spec, pts)
-    mean = float(raw.mean())
-    sd = float(raw.std(ddof=1))
-    if sd <= 0.0:
-        raise PreconditionError("replicates are constant; cannot normalize empirically")
-    rec = NormalizationRecord(mean=mean, sd=sd, source="empirical")
-    return ReplicateSet(values=(raw - mean) / sd, n=n, seed=seed, normalization=rec)
+    return _replicates(np.empty(reps), lambda rng: _continuous_ustat(
+        spec, np.asarray(spec.sampler(rng, n), dtype=float)), seed)
 
 
 def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
@@ -169,10 +175,11 @@ def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
              normalization: str = "exact") -> ReplicateSet:
     """Draw ``reps`` independent normalized U-statistic replicates.
 
-    Replicate j consumes only the stream keyed by (seed, j), so the result is
-    bit-identical across runs and thread counts.  Normalization "exact" uses
-    the closed-form mean and variance (discrete kernels only); "empirical"
-    standardizes by the replicate sample mean and standard deviation.
+    Replicate j consumes only the stream (seed, REPLICATE, 0, j), so the
+    result is bit-identical across runs and execution orders.  Normalization
+    "exact" uses the closed-form mean and variance (discrete kernels only);
+    "empirical" standardizes by the replicate sample mean and standard
+    deviation.
     """
     if normalization not in ("exact", "empirical"):
         raise ConfigurationError(f"unknown normalization {normalization!r}")
@@ -181,10 +188,32 @@ def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
     if isinstance(kernel, SymmetricKernel):
         if mu is None:
             raise ParameterError("discrete kernels need a measure")
-        return _simulate_discrete(kernel, mu, n, reps, seed, normalization)
-    if isinstance(kernel, ContinuousKernelSpec):
-        return _simulate_continuous(kernel, n, reps, seed, normalization)
-    raise ParameterError(f"unsupported kernel type {type(kernel)!r}")
+        if n < kernel.order:
+            raise ParameterError(f"need n >= p = {kernel.order}, got {n}")
+        # J_p depends on the sample only through its symbol counts, so each
+        # replicate draws counts directly from the multinomial law of the sample
+        counts = _replicates(np.empty((reps, mu.alphabet_size), dtype=np.int64),
+                             lambda rng: rng.multinomial(n, mu.weights), seed)
+        raw = ustat_values_from_count_matrix(kernel.values, counts)
+    elif isinstance(kernel, ContinuousKernelSpec):
+        if normalization == "exact":
+            raise ConfigurationError("exact normalization is only available for discrete kernels")
+        raw = _continuous_raw(kernel, n, reps, seed)
+    else:
+        raise ParameterError(f"unsupported kernel type {type(kernel)!r}")
+    if normalization == "exact":
+        mean = math.comb(n, kernel.order) * float(compute_g(kernel, mu, 0))
+        var_n, _ = variance(kernel, mu, n)
+        if var_n <= 0.0:
+            raise PreconditionError("exact normalization needs positive variance")
+        sd = math.sqrt(var_n)
+    else:
+        mean = float(raw.mean())
+        sd = float(raw.std(ddof=1))
+        if sd <= 0.0:
+            raise PreconditionError("replicates are constant; cannot normalize empirically")
+    rec = NormalizationRecord(mean=mean, sd=sd, source=normalization)
+    return ReplicateSet(values=(raw - mean) / sd, n=n, seed=seed, normalization=rec)
 
 
 def normal_quantile_grid(r: int) -> np.ndarray:
@@ -198,10 +227,13 @@ class DistanceEstimate:
     stderr: float
 
 
-def coupling_distance(values: np.ndarray) -> float:
-    """Quantile-coupling sum of a sample against the standard normal grid."""
-    v = np.sort(np.asarray(values, dtype=float))
-    return float(np.mean(np.abs(v - normal_quantile_grid(v.size))))
+def coupling_distance(values: np.ndarray) -> Union[float, np.ndarray]:
+    """Quantile-coupling sum of a sample (of each row of a 2-d array) against
+    the standard normal grid."""
+    v = np.sort(np.asarray(values, dtype=float), axis=-1)
+    # the sorted copy is private, so the gaps are formed in place
+    v -= normal_quantile_grid(v.shape[-1])
+    return np.mean(np.abs(v, out=v), axis=-1)
 
 
 def wasserstein_to_normal(rep: ReplicateSet, bootstrap: int = 200) -> DistanceEstimate:
@@ -217,13 +249,10 @@ def wasserstein_to_normal(rep: ReplicateSet, bootstrap: int = 200) -> DistanceEs
         raise CapacityError(
             f"distance estimation needs >= {MIN_REPLICATES_FOR_DISTANCE} replicates, got {r}"
         )
-    val = coupling_distance(rep.values)
-    grid = normal_quantile_grid(r)
-    brng = stream(rep.seed, BOOTSTRAP_STREAM)
-    idx = brng.integers(0, r, size=(bootstrap, r))
-    resampled = np.sort(rep.values[idx], axis=1)
-    boots = np.mean(np.abs(resampled - grid[None, :]), axis=1)
-    return DistanceEstimate(value=val, stderr=float(boots.std(ddof=1)))
+    idx = stream(rep.seed, Purpose.BOOTSTRAP, rep.slot).integers(0, r, size=(bootstrap, r))
+    boots = coupling_distance(rep.values[idx])
+    return DistanceEstimate(value=float(coupling_distance(rep.values)),
+                            stderr=float(boots.std(ddof=1)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -236,19 +265,14 @@ def coupling_bias(r: int, standardized: bool = True, seed: int = 0,
     empirical-normalization pipeline, which rescales each sample by its own
     mean and standard deviation before coupling.
     """
-    g = stream(seed, CALIBRATION_STREAM)
-    grid = normal_quantile_grid(r)
+    g = stream(seed, Purpose.CALIBRATION)
     total = 0.0
     block = max(1, min(draws, 2_000_000 // max(r, 1)))
-    done = 0
-    while done < draws:
-        b = min(block, draws - done)
-        x = g.standard_normal((b, r))
+    for done in range(0, draws, block):
+        x = g.standard_normal((min(block, draws - done), r))
         if standardized:
             x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
-        x.sort(axis=1)
-        total += float(np.sum(np.mean(np.abs(x - grid[None, :]), axis=1)))
-        done += b
+        total += float(np.sum(coupling_distance(x)))
     return total / draws
 
 
@@ -322,7 +346,7 @@ def smooth_distance(rep: ReplicateSet, g: Callable[[np.ndarray], np.ndarray],
     lhs = float(np.mean(g(rep.values)))
     if exact_mean is not None:
         return abs(lhs - float(exact_mean))
-    z = stream(seed, GAUSSIAN_STREAM).standard_normal(int(gaussian_reps))
+    z = stream(seed, Purpose.GAUSSIAN).standard_normal(int(gaussian_reps))
     return abs(lhs - float(np.mean(g(z))))
 
 

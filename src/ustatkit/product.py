@@ -24,6 +24,7 @@ from .core import DiscreteMeasure, SymmetricKernel, is_degenerate, symmetrize, t
 from .errors import CapacityError, ParameterError, PreconditionError
 from .contractions import contract
 from .hoeffding import ENUMERATION_CAP, decompose, ustat_values_from_count_matrix
+from .montecarlo import Purpose, stream
 
 
 def binom(n: int, k: int) -> float:
@@ -125,10 +126,16 @@ def verify_product_formula(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
     Both sides depend on a sample only through its symbol counts, so each
     kernel is evaluated once on a count matrix.  When all m^n samples fit the
     enumeration cap, the matrix holds every distinct count vector; otherwise
-    it holds ``mc`` sampled count vectors (requested explicitly).
+    it holds ``mc`` count vectors (requested explicitly) sampled from the
+    stream (seed, PRODUCT_CHECK).
     """
-    m = mu.alphabet_size
-    pk = product_kernels(psi, phi, n, mu)
+    return _residual(product_kernels(psi, phi, n, mu), psi, phi, mu, mc, seed)
+
+
+def _residual(pk: ProductKernelSet, psi: SymmetricKernel, phi: SymmetricKernel,
+              mu: DiscreteMeasure, mc: Optional[int], seed: int) -> float:
+    """`verify_product_formula` for the already built product kernels ``pk``."""
+    m, n = mu.alphabet_size, pk.n
     if m**n <= ENUMERATION_CAP:
         counts = np.array([np.bincount(combo, minlength=m) for combo in
                            itertools.combinations_with_replacement(range(m), n)])
@@ -137,7 +144,7 @@ def verify_product_formula(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
             f"{m}^{n} states exceed the enumeration cap; pass mc=R for sampling"
         )
     else:
-        counts = np.random.default_rng(seed).multinomial(n, mu.weights, size=int(mc))
+        counts = stream(seed, Purpose.PRODUCT_CHECK).multinomial(n, mu.weights, size=int(mc))
     lhs = (ustat_values_from_count_matrix(psi.values, counts)
            * ustat_values_from_count_matrix(phi.values, counts))
     rhs = np.zeros(counts.shape[0])

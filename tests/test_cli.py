@@ -78,6 +78,27 @@ class TestProductCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["max_residual"] <= 1e-8
 
+    def test_product_kernels_built_once(self, files, tmp_path, monkeypatch):
+        import ustatkit as uk
+        from ustatkit import cli, product
+        calls = []
+        original = product.product_kernels
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(product, "product_kernels", counting)
+        monkeypatch.setattr(cli, "product_kernels", counting)
+        mu = uk.DiscreteMeasure(np.array([0.5, 0.5]))
+        hs = uk.decompose(uk.SymmetricKernel(np.array([[1.0, 0.0], [0.0, 1.0]])), mu)
+        kp = tmp_path / "D.json"
+        kp.write_text(json.dumps({"order": 2, "alphabet": 2,
+                                  "values": list(np.asarray(hs.psi[2]).ravel())}))
+        assert main(["product-check", "--psi", str(kp), "--phi", str(kp),
+                     "--n", "6", "--measure", files["measure"]]) == 0
+        assert len(calls) == 1
+
     def test_capacity_exit_code(self, files, tmp_path, capsys):
         import ustatkit as uk
         mu = uk.DiscreteMeasure(np.array([0.5, 0.5]))
@@ -157,22 +178,16 @@ class TestDeterminism:
         assert '"psi"' in proc.stdout
 
 
-class TestThreads:
-    def test_env_fallback_lands_in_config(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("USTAT_THREADS", "4")
-        assert main(["decompose", "--kernel", files["kernel"],
-                     "--measure", files["measure"]]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["threads"] == 4
 
-    def test_flag_overrides_env(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("USTAT_THREADS", "4")
-        assert main(["decompose", "--kernel", files["kernel"],
-                     "--measure", files["measure"], "--threads", "2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["threads"] == 2
-
-    def test_invalid_thread_count(self, files, monkeypatch):
-        monkeypatch.setenv("USTAT_THREADS", "0")
-        assert main(["decompose", "--kernel", files["kernel"],
-                     "--measure", files["measure"]]) == 2
+class TestSeedRange:
+    @pytest.mark.parametrize("command", ["simulate", "geomgraph"])
+    def test_negative_seed_is_validation_error(self, files, capsys, command):
+        if command == "simulate":
+            argv = ["simulate", "--kernel", files["kernel"], "--measure", files["measure"],
+                    "--n", "10", "--reps", "200"]
+        else:
+            argv = ["geomgraph", "--pattern", "edge", "--density", "uniform-box",
+                    "--dim", "2", "--regime", "C4", "--rho", "1.0",
+                    "--ns", "64,128,256,512", "--reps", "100"]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err

@@ -136,6 +136,29 @@ class TestCountSubgraphs:
         t = 0.35
         assert count_subgraphs(pts, pat, t) == brute_subgraph_count(pts, pat, t)
 
+    @pytest.mark.parametrize("x, t", [
+        (np.repeat(np.arange(10) * 0.5, 3), 0.5),   # duplicates, neighbours exactly at t
+        (np.repeat(np.arange(10) * 0.5, 3), 1.5),
+        (np.arange(20) * 0.1, 0.1),                   # rounded gaps straddle t
+        (np.arange(20) * 0.1, 0.3),
+        (np.full(7, 2.0), 1.0),
+        # squared gaps below 1e-323 round to 0, so those pairs are not adjacent
+        (np.array([0.0, 1e-200, 3e-170, 5e-324, -1e-161, 1.0]), 0.5),
+        (np.random.default_rng(98).standard_normal(120), 0.05),
+    ], ids=["lattice-0.5", "lattice-1.5", "tenths-0.1", "tenths-0.3", "coincident",
+            "underflow", "gaussian"])
+    def test_line_edge_count_matches_brute_force(self, x, t):
+        pts = x[:, None]
+        assert count_subgraphs(pts, EDGE, t) == brute_subgraph_count(pts, EDGE, t)
+
+    def test_line_edge_count_matches_kd_tree_pairs(self):
+        rng = np.random.default_rng(99)
+        for n in (2, 100, 4096):
+            for t in (n**-0.5, 0.3, 10.0):
+                pts = rng.standard_normal((n, 1))
+                _, mask = geomgraph._strict_pairs(pts, t)
+                assert count_subgraphs(pts, EDGE, t) == np.count_nonzero(mask)
+
     @pytest.mark.parametrize("d, t", [(1, 0.1), (2, 0.35), (3, 0.55)])
     @pytest.mark.parametrize("pat", [PAW, STAR4, PATH5], ids=lambda pat: pat.name)
     def test_custom_patterns_match_brute_force(self, pat, d, t):
@@ -244,6 +267,36 @@ class TestRegimeExperiment:
         a = regime_experiment(EDGE, BOX2, sched, [64, 128, 256, 512], 120, seed=5)
         b = regime_experiment(EDGE, BOX2, sched, [64, 128, 256, 512], 120, seed=5)
         assert a.to_dict() == b.to_dict()
+
+
+@pytest.fixture
+def philox_keys(monkeypatch):
+    """Every Philox key built while the test runs, in construction order."""
+    keys = []
+    philox = np.random.Philox
+
+    def recording(*args, key=None, **kwargs):
+        keys.append(tuple(int(w) for w in key))
+        return philox(*args, key=key, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", recording)
+    return keys
+
+
+class TestStreamKeys:
+    def test_sweep_bootstrap_misses_gk_streams(self, philox_keys):
+        # 101 sample sizes reach sweep index 100
+        regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), list(range(20, 121)),
+                          100, seed=3)
+        gk_contraction_mc(EDGE, BOX2, 0.3, 1, 1, 1, 1, 10_000, seed=3, inner=4)
+        assert len(philox_keys) == len(set(philox_keys))
+
+    def test_variance_check_misses_sweep_streams(self, philox_keys):
+        # the check at n = 2 against sweep index 1
+        regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), [64, 128, 256, 512],
+                          100, seed=5)
+        variance_lower_bound_check(EDGE, BOX2, 0.1, 2, 100, seed=5, q_samples=1000)
+        assert len(philox_keys) == len(set(philox_keys))
 
 
 class TestVarianceLowerBound:

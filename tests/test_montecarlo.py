@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ustatkit
 from ustatkit import (
     ContinuousKernelSpec,
     DiscreteMeasure,
@@ -16,6 +19,7 @@ from ustatkit import (
 from ustatkit.errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
 from ustatkit.montecarlo import (
     NormalizationRecord,
+    Purpose,
     ReplicateSet,
     coupling_bias,
     coupling_distance,
@@ -29,23 +33,76 @@ COIN = SymmetricKernel(np.array([1.0, -1.0]))
 
 
 def _normal_repset(r, seed=123):
-    values = stream(seed, 0).standard_normal(r)
+    values = stream(seed, Purpose.REPLICATE).standard_normal(r)
     return ReplicateSet(values=values, n=r, seed=seed,
                         normalization=NormalizationRecord(0.0, 1.0, "exact"))
 
 
 class TestStreams:
     def test_streams_are_reproducible(self):
-        a = stream(7, 3).standard_normal(5)
-        b = stream(7, 3).standard_normal(5)
+        a = stream(7, Purpose.REPLICATE, 0, 3).standard_normal(5)
+        b = stream(7, Purpose.REPLICATE, 0, 3).standard_normal(5)
         assert np.array_equal(a, b)
 
     def test_streams_are_distinct(self):
-        a = stream(7, 3).standard_normal(5)
-        b = stream(7, 4).standard_normal(5)
-        c = stream(8, 3).standard_normal(5)
+        a = stream(7, Purpose.REPLICATE, 0, 3).standard_normal(5)
+        b = stream(7, Purpose.REPLICATE, 0, 4).standard_normal(5)
+        c = stream(8, Purpose.REPLICATE, 0, 3).standard_normal(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_keys_are_distinct_at_boundary_values(self):
+        keys = {}
+        for seed in (0, 2**64 - 1):
+            for purpose in Purpose:
+                for slot in (0, 1, 2**24 - 1):
+                    for j in (0, 1, 2**32 - 1):
+                        key = stream(seed, purpose, slot, j).bit_generator.state["state"]["key"]
+                        keys[(seed, purpose, slot, j)] = tuple(int(w) for w in key)
+        assert len(set(keys.values())) == len(keys)
+        # replicate keys keep the (seed, slot << 32 | j) layout of earlier releases
+        assert keys[(2**64 - 1, Purpose.REPLICATE, 1, 2**32 - 1)] == (2**64 - 1, 2**33 - 1)
+
+    @pytest.mark.parametrize("seed, purpose, slot, j", [
+        (-1, Purpose.REPLICATE, 0, 0),
+        (2**64, Purpose.REPLICATE, 0, 0),
+        (0, Purpose.REPLICATE, 0, 2**32),
+        (0, Purpose.REPLICATE, 0, -1),
+        (0, Purpose.BOOTSTRAP, 2**24, 0),
+        (0, 1, 0, 0),
+    ])
+    def test_out_of_range_keys_raise(self, seed, purpose, slot, j):
+        with pytest.raises(ParameterError):
+            stream(seed, purpose, slot, j)
+
+    def test_replicate_seed_is_checked(self):
+        with pytest.raises(ParameterError):
+            simulate(COIN, HALF, 10, 100, seed=-1)
+
+    def test_only_stream_builds_generators(self):
+        # every Philox key comes from montecarlo.stream; the symmetry check's
+        # fixed permutation sample is the one seeded generator elsewhere
+        found = set()
+
+        def visit(node, module, func):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    callee = getattr(child.func, "attr", getattr(child.func, "id", None))
+                    if callee in ("Philox", "default_rng"):
+                        found.add((module, func, ast.unparse(child)))
+                if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.LShift)
+                        and isinstance(child.right, ast.Constant) and child.right.value == 32):
+                    found.add((module, func, "<< 32"))
+                name = child.name if isinstance(child, ast.FunctionDef) else func
+                visit(child, module, name)
+
+        for path in sorted(Path(ustatkit.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.stem, None)
+        assert found == {
+            ("montecarlo", "stream", "np.random.Philox(key=key)"),
+            ("montecarlo", "stream", "<< 32"),
+            ("core", "_check_symmetry", "np.random.default_rng(0)"),
+        }
 
 
 class TestSimulate:
@@ -65,10 +122,10 @@ class TestSimulate:
         assert np.array_equal(a.values, b.values)
 
     def test_values_match_per_replicate_streams(self):
-        # replicate j must be a pure function of stream (seed, j)
+        # replicate j must be a pure function of stream (seed, REPLICATE, 0, j)
         rep = simulate(COIN, HALF, 12, 4, seed=5, normalization="exact")
         j = 2
-        counts = stream(5, j).multinomial(12, HALF.weights)
+        counts = stream(5, Purpose.REPLICATE, 0, j).multinomial(12, HALF.weights)
         raw = counts[0] * 1.0 + counts[1] * (-1.0)
         assert rep.values[j] == pytest.approx(raw / math.sqrt(12.0))
 
@@ -85,7 +142,7 @@ class TestSimulate:
         rep = simulate(k, mu, 9, 3, seed=4, normalization="empirical")
         from helpers import ustat_direct
         for j in range(3):
-            counts = stream(4, j).multinomial(9, mu.weights)
+            counts = stream(4, Purpose.REPLICATE, 0, j).multinomial(9, mu.weights)
             x = [s for s, c in enumerate(counts) for _ in range(c)]
             direct = ustat_direct(k, x)
             raw = rep.values[j] * rep.normalization.sd + rep.normalization.mean
@@ -116,6 +173,8 @@ class TestWasserstein:
     def test_self_coupling_is_zero(self):
         grid = normal_quantile_grid(500)
         assert coupling_distance(grid) == 0.0
+        rows = np.stack([grid[::-1], grid + 1.0])
+        assert np.allclose(coupling_distance(rows), [0.0, 1.0], rtol=0.0, atol=1e-12)
 
     def test_standard_normal_calibration(self):
         rep = _normal_repset(20000)
