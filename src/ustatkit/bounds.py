@@ -23,7 +23,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import DiscreteMeasure, SymmetricKernel, is_degenerate, lp_norm, tensor_inner
+from .core import (DiscreteMeasure, SymmetricKernel, is_degenerate, lp_norm,
+                   tensor_inner, tensor_lp_norm)
 from .contractions import _contraction_table
 from .errors import ContractViolationError, ParameterError, PreconditionError
 from .hoeffding import HoeffdingSet, _rank, _variance, compute_g, decompose
@@ -215,23 +216,21 @@ def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                    kappa: Optional[KappaConfig] = None) -> BoundReport:
     """Wasserstein bound when the first active decomposition level dominates.
 
-    The kernel is centered and normalized to unit L2 norm, its rank m located,
-    the degenerate bound applied to the rank-m kernel, and the remaining
-    levels contribute an explicit root-n-damped remainder.  The kernel-free
-    variant of the remainder (using the factorial norm bound) is reported as
-    an extra.
+    The kernel is scaled to unit standard deviation and decomposed once (the
+    decomposition centres it), its rank m located, the degenerate bound
+    applied to the rank-m kernel, and the remaining levels contribute an
+    explicit root-n-damped remainder.  The kernel-free variant of the
+    remainder (using the factorial norm bound) is reported as an extra.
     """
     kappa = kappa or KappaConfig()
     p = psi.order
     if n < p:
         raise ParameterError(f"need n >= p = {p}, got {n}")
     g0 = float(compute_g(psi, mu, 0))
-    centered = psi if abs(g0) <= 1e-14 else psi.shifted(g0)
-    l2 = lp_norm(centered, mu, 2.0)
+    l2 = tensor_lp_norm(psi.values - g0, mu, 2.0)
     if l2 <= 0.0:
         raise PreconditionError("kernel must have positive variance")
-    unit = centered.scaled(1.0 / l2)
-    hs = decompose(unit, mu)
+    hs = decompose(psi.scaled(1.0 / l2), mu)
     m = _rank(hs, mu)
     if m is None:
         raise PreconditionError("kernel has no active decomposition level")
@@ -413,8 +412,8 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     if n < 2 * p:
         raise ParameterError(f"need n >= 2p = {2 * p}, got {n}")
     g0 = float(compute_g(psi, mu, 0))
-    centered = psi if abs(g0) <= 1e-14 else psi.shifted(g0)
-    hs = decompose(centered, mu)
+    # the projection-contraction tables below need centred projections
+    hs = decompose(psi.shifted(g0), mu)
     var_n, _ = _variance(hs, mu, n)
     if var_n <= 0.0:
         raise PreconditionError("statistic must have positive variance")

@@ -167,7 +167,7 @@ def _cmd_decompose(args) -> dict:
             for s in range(1, kernel.order + 1)
         ],
         "psi": [float(hs.psi[0])] + [hs.psi[s].tolist() for s in range(1, kernel.order + 1)],
-        "hoeffding_rank": hoeffding.hoeffding_rank(kernel, mu),
+        "hoeffding_rank": hoeffding._rank(hs, mu),
     }
     if args.n is not None:
         v_h, v_g = hoeffding._variance(hs, mu, args.n)

@@ -329,8 +329,6 @@ class DensityModel:
     kind: str  # "uniform-box" | "uniform-ball" | "gaussian" | "custom"
     dimension: int
     sampler_fn: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-    bounded: bool = True
-    ae_continuous: bool = True
 
     def __post_init__(self):
         if self.kind not in ("uniform-box", "uniform-ball", "gaussian", "custom"):
@@ -339,8 +337,6 @@ class DensityModel:
             raise ParameterError("dimension must be >= 1")
         if self.kind == "custom" and self.sampler_fn is None:
             raise ParameterError("custom densities need a sampler")
-        if not self.bounded:
-            raise ParameterError("the density must be bounded")
 
     @property
     def is_uniform(self) -> bool:

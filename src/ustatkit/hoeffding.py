@@ -4,6 +4,8 @@ The decomposition writes the order-p statistic as a binomially weighted sum
 of degenerate statistics of orders 0..p.  Both classical constructions of
 the degenerate kernels (the alternating-sum formula over the projection
 functions and the order recursion) are computed and cross-checked entrywise.
+`decompose` centres the kernel once, so a constant shift moves neither the
+levels psi_s (s >= 1) nor, through `_level_variances`, the variance or rank.
 U-statistic values come from symbol counts through one vectorized evaluator,
 `ustat_values_from_count_matrix`, which the product check and the Monte Carlo
 harness share.
@@ -76,10 +78,15 @@ def compute_g(kernel: SymmetricKernel, mu: DiscreteMeasure, k: int) -> np.ndarra
     p = kernel.order
     if not 0 <= k <= p:
         raise ParameterError(f"k must lie in [0, {p}], got {k}")
-    g = kernel.values
-    for _ in range(p - k):
-        g = np.tensordot(g, mu.weights, axes=([-1], [0]))
-    return np.asarray(g, dtype=float)
+    return _projections(kernel.values, mu)[k]
+
+
+def _projections(values: np.ndarray, mu: DiscreteMeasure) -> list:
+    # [g_0, ..., g_p]: each level integrates the last coordinate of the next
+    g = [np.asarray(values, dtype=float)]
+    for _ in range(values.ndim):
+        g.append(np.asarray(np.tensordot(g[-1], mu.weights, axes=([-1], [0])), dtype=float))
+    return g[::-1]
 
 
 def _embed(tensor: np.ndarray, axes: Sequence[int], s: int, m: int) -> np.ndarray:
@@ -94,31 +101,36 @@ def _embed(tensor: np.ndarray, axes: Sequence[int], s: int, m: int) -> np.ndarra
 def decompose(kernel: SymmetricKernel, mu: DiscreteMeasure) -> HoeffdingSet:
     """All projection functions g_k and degenerate kernels psi_s of a kernel.
 
-    psi_s is built by the order recursion (g_s minus the expectation minus all
-    embedded lower-order kernels) and verified against the alternating-sum
-    construction over g-subsets; both must agree entrywise to 1e-10.  Every
-    psi_s with s >= 1 must pass the degeneracy test.
+    ``g`` holds the projections of the kernel as given.  psi_s (s >= 1) is
+    built from the projections c_k of the centred kernel ``kernel - g_0`` by
+    the order recursion (c_s minus c_0 minus all embedded lower-order kernels)
+    and verified against the alternating-sum construction over c-subsets;
+    both must agree entrywise to 1e-10.  Every psi_s with s >= 1 must pass the
+    degeneracy test.
     """
     _check_same_alphabet(kernel, mu)
     p = kernel.order
     m = kernel.alphabet_size
-    g = [compute_g(kernel, mu, k) for k in range(p + 1)]
+    g = _projections(kernel.values, mu)
     g0 = float(g[0])
+    # c[0] is the round-off left in the centred kernel's mean
+    c = _projections(kernel.values - g0, mu)
+    c0 = float(c[0])
 
     psi = [np.array(g0)]
     for s in range(1, p + 1):
-        acc = np.array(g[s], copy=True) - g0
+        acc = c[s] - c0
         for k in range(1, s):
             for subset in itertools.combinations(range(s), k):
                 acc -= _embed(psi[k], subset, s, m)
         psi.append(acc)
 
     for s in range(1, p + 1):
-        alt = np.full((m,) * s, ((-1.0) ** s) * g0)
+        alt = np.full((m,) * s, ((-1.0) ** s) * c0)
         for k in range(1, s + 1):
             sign = (-1.0) ** (s - k)
             for subset in itertools.combinations(range(s), k):
-                alt += sign * _embed(g[k], subset, s, m)
+                alt += sign * _embed(c[k], subset, s, m)
         gap = float(np.max(np.abs(psi[s] - alt)))
         if gap > CONSTRUCTION_TOL * (1.0 + float(np.max(np.abs(psi[s])))):
             raise ContractViolationError(
@@ -226,30 +238,31 @@ def variance(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int):
     return _variance(decompose(kernel, mu), mu, n)
 
 
+def _level_variances(hs: HoeffdingSet, mu: DiscreteMeasure):
+    """``(||psi_s||^2, ||g_s - g_0||^2)`` for s = 1..p: Var(psi_s) and Var(g_s)."""
+    g0 = float(hs.g[0])
+    return [(tensor_lp_norm(hs.psi[s], mu, 2.0) ** 2,
+             tensor_lp_norm(hs.g[s] - g0, mu, 2.0) ** 2)
+            for s in range(1, hs.order + 1)]
+
+
 def _variance(hs: HoeffdingSet, mu: DiscreteMeasure, n: int):
     # `variance` on an existing decomposition of its kernel
     p = hs.order
     if n < p:
         raise ParameterError(f"sample size {n} is below the kernel order {p}")
-    g0 = float(hs.g[0])
-
-    v_h = 0.0
-    for s in range(1, p + 1):
-        # psi_s is degenerate, hence centered: Var = ||psi_s||^2
-        var_s = tensor_lp_norm(hs.psi[s], mu, 2.0) ** 2
-        v_h += math.comb(n - s, p - s) ** 2 * math.comb(n, s) * var_s
-
-    v_g = 0.0
-    for k in range(1, p + 1):
-        var_gk = tensor_lp_norm(hs.g[k], mu, 2.0) ** 2 - g0 * g0
-        v_g += math.comb(p, k) * math.comb(n - p, p - k) * var_gk
-    v_g *= math.comb(n, p)
+    levels = _level_variances(hs, mu)
+    v_h = sum(math.comb(n - s, p - s) ** 2 * math.comb(n, s) * var_psi
+              for s, (var_psi, _) in enumerate(levels, 1))
+    v_g = math.comb(n, p) * sum(math.comb(p, k) * math.comb(n - p, p - k) * var_g
+                                for k, (_, var_g) in enumerate(levels, 1))
 
     if abs(v_h - v_g) > 1e-9 * (1.0 + abs(v_g)):
         raise ContractViolationError(
             f"variance formulas disagree: {v_h!r} vs {v_g!r}"
         )
-    lower = math.comb(n, p) * (tensor_lp_norm(hs.source.values, mu, 2.0) ** 2 - g0 * g0)
+    # g_p is the kernel itself, so its variance gives C(n, p) Var(psi)
+    lower = math.comb(n, p) * levels[-1][1]
     if v_h < lower - 1e-9 * (1.0 + abs(lower)):
         raise ContractViolationError(
             f"variance {v_h!r} fell below its lower bound {lower!r}"
@@ -261,29 +274,18 @@ def hoeffding_rank(kernel: SymmetricKernel, mu: DiscreteMeasure,
                    tol: float = RANK_TOL) -> Optional[int]:
     """Smallest order with an active decomposition level, or None if all vanish.
 
-    The kernel is centered first (the rank is defined for mean-zero
-    statistics).  The rank computed from the degenerate kernels must match
+    The levels come from the centred kernel, so a constant shift does not
+    move the rank.  The rank computed from the degenerate kernels must match
     the one computed from the projection-function variances.
     """
-    g0 = float(compute_g(kernel, mu, 0))
-    centered = kernel if abs(g0) <= tol else kernel.shifted(g0)
-    return _rank(decompose(centered, mu), mu, tol)
+    return _rank(decompose(kernel, mu), mu, tol)
 
 
 def _rank(hs: HoeffdingSet, mu: DiscreteMeasure, tol: float = RANK_TOL) -> Optional[int]:
-    # `hoeffding_rank` on an existing decomposition of a (near-)centered kernel
-    p = hs.order
-    rank_psi = None
-    for s in range(1, p + 1):
-        if tensor_lp_norm(hs.psi[s], mu, 2.0) ** 2 > tol:
-            rank_psi = s
-            break
-    rank_g = None
-    for k in range(1, p + 1):
-        var_gk = tensor_lp_norm(hs.g[k], mu, 2.0) ** 2 - float(hs.g[0]) ** 2
-        if var_gk > tol:
-            rank_g = k
-            break
+    # `hoeffding_rank` on an existing decomposition of its kernel
+    levels = _level_variances(hs, mu)
+    rank_psi = next((s for s, (var, _) in enumerate(levels, 1) if var > tol), None)
+    rank_g = next((s for s, (_, var) in enumerate(levels, 1) if var > tol), None)
     if rank_psi != rank_g:
         raise ContractViolationError(
             f"rank mismatch between constructions: {rank_psi} vs {rank_g}"

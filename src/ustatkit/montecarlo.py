@@ -22,7 +22,7 @@ from scipy.special import ndtri
 
 from .core import ContinuousKernelSpec, DiscreteMeasure, SymmetricKernel
 from .errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
-from .hoeffding import compute_g, ustat_values_from_count_matrix, variance
+from .hoeffding import _variance, decompose, ustat_values_from_count_matrix
 
 #: direct p-subset enumeration caps for continuous kernels
 CONTINUOUS_N_CAP = {1: 10**6, 2: 10**4, 3: 500}
@@ -202,8 +202,9 @@ def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
     else:
         raise ParameterError(f"unsupported kernel type {type(kernel)!r}")
     if normalization == "exact":
-        mean = math.comb(n, kernel.order) * float(compute_g(kernel, mu, 0))
-        var_n, _ = variance(kernel, mu, n)
+        hs = decompose(kernel, mu)
+        mean = math.comb(n, kernel.order) * float(hs.g[0])
+        var_n, _ = _variance(hs, mu, n)
         if var_n <= 0.0:
             raise PreconditionError("exact normalization needs positive variance")
         sd = math.sqrt(var_n)

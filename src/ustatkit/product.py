@@ -62,9 +62,6 @@ class ProductKernelSet:
     p: int
     q: int
 
-    def order_of(self, t: int) -> int:
-        return self.p + self.q - t
-
 
 def _overlaps(t: int, p: int, q: int) -> range:
     """Admissible overlap sizes r of level t: ``ceil(t/2) <= r <= min(t, p, q)``."""

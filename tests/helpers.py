@@ -21,6 +21,17 @@ def random_kernel(rng, p, m, scale=1.0):
     return symmetrize(rng.standard_normal((m,) * p) * scale)
 
 
+def shift_instance(p):
+    """The ``default_rng(1)`` measure on 3 symbols and its order-p kernel, p <= 3.
+
+    The measure is drawn first, then kernels of orders 1, 2 and 3 in turn.
+    """
+    rng = np.random.default_rng(1)
+    mu = random_measure(rng, 3)
+    kernels = [random_kernel(rng, q, 3) for q in (1, 2, 3)]
+    return kernels[p - 1], mu
+
+
 def random_degenerate(rng, p, m, mu, min_norm=1e-3):
     """Top decomposition level of a random kernel, rescaled to unit L2 norm."""
     for _ in range(50):
@@ -43,13 +54,16 @@ def sample_prob(x, mu):
     return p
 
 
-def ustat_direct(kernel, x):
-    """Direct enumeration of the U-statistic over index subsets."""
+def ustat_direct(kernel, x, num=float):
+    """Direct enumeration of the U-statistic over index subsets.
+
+    ``num`` converts each kernel value; ``Fraction`` makes the sum exact.
+    """
     values = kernel.values
     p = values.ndim
-    total = 0.0
+    total = num(0)
     for idx in itertools.combinations(range(len(x)), p):
-        total += float(values[tuple(x[i] for i in idx)])
+        total += num(values[tuple(x[i] for i in idx)])
     return total
 
 

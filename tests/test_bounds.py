@@ -19,7 +19,6 @@ from ustatkit import (
     projection_contraction_bound,
     lp_norm,
 )
-from ustatkit import bounds, hoeffding
 from ustatkit.bounds import KAPPA_COEF, W1_COEF
 from ustatkit.errors import ParameterError, PreconditionError
 from ustatkit.product import prefactor_ratio
@@ -437,19 +436,6 @@ class TestOrderDominance:
 
 
 class TestOneDecompositionPerCall:
-    @pytest.fixture
-    def decompose_calls(self, monkeypatch):
-        calls = []
-        real = hoeffding.decompose
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].order)
-            return real(*args, **kwargs)
-
-        for module in (hoeffding, bounds):
-            monkeypatch.setattr(module, "decompose", counting)
-        return calls
-
     def test_bound_general(self, decompose_calls):
         rng = np.random.default_rng(90)
         mu = random_measure(rng, 3)

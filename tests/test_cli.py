@@ -7,6 +7,8 @@ import pytest
 
 from ustatkit.cli import canonical_json, main
 
+from helpers import shift_instance
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -46,6 +48,11 @@ class TestDecompose:
         assert doc["result"]["variance_hoeffding"] == pytest.approx(1.5)
         assert doc["config"]["seed"] == 0
 
+    def test_decomposes_once(self, files, decompose_calls):
+        assert main(["decompose", "--kernel", files["kernel"],
+                     "--measure", files["measure"], "--n", "4"]) == 0
+        assert decompose_calls == [2]
+
     def test_missing_measure_file(self, files):
         code = main(["decompose", "--kernel", files["kernel"],
                      "--measure", str(files["dir"] / "nope.json")])
@@ -56,6 +63,22 @@ class TestDecompose:
         bad.write_text(json.dumps({"order": 2, "alphabet": 2, "values": [1.0]}))
         code = main(["decompose", "--kernel", str(bad), "--measure", files["measure"]])
         assert code == 2
+
+
+class TestShiftedKernel:
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--n", "10"],
+        ["simulate", "--n", "10", "--reps", "100", "--normalization", "exact"],
+    ])
+    def test_large_mean_is_valid(self, tmp_path, argv):
+        # a mean 1e3 times the kernel's spread must not trip a numeric contract
+        kernel, mu = shift_instance(2)
+        kpath, mpath = tmp_path / "K.json", tmp_path / "M.json"
+        kpath.write_text(json.dumps({"order": 2, "alphabet": 3,
+                                     "values": (kernel.values + 1e3).ravel().tolist()}))
+        mpath.write_text(json.dumps({"weights": mu.weights.tolist()}))
+        assert main(argv[:1] + ["--kernel", str(kpath), "--measure", str(mpath)]
+                    + argv[1:]) == 0
 
 
 class TestProductCheck:

@@ -26,11 +26,15 @@ from helpers import (
     random_degenerate,
     random_kernel,
     random_measure,
+    shift_instance,
     ustat_direct,
 )
 
 HALF = DiscreteMeasure(np.array([0.5, 0.5]))
 IDENT = SymmetricKernel(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+#: constant shifts that dwarf the spread of the `shift_instance` kernels
+SHIFTS = (1e3, 1e4, 1e6)
 
 
 class TestComputeG:
@@ -274,3 +278,58 @@ class TestHoeffdingRank:
         k = random_kernel(rng, 2, 3)
         shifted = SymmetricKernel(k.values + 5.0)
         assert hoeffding_rank(k, mu) == hoeffding_rank(shifted, mu)
+        # shifts that dwarf the kernel's spread
+        for p in (1, 2, 3):
+            k, mu = shift_instance(p)
+            rank = hoeffding_rank(k, mu)
+            for shift in SHIFTS:
+                assert hoeffding_rank(k.shifted(-shift), mu) == rank
+
+    def test_decomposes_once(self, decompose_calls):
+        rng = np.random.default_rng(22)
+        hoeffding_rank(random_kernel(rng, 3, 3), random_measure(rng, 3))
+        assert decompose_calls == [3]
+
+
+class TestShiftedKernels:
+    """A constant shift moves psi_0 only; levels and variance stay put."""
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_variance_matches_unshifted(self, p, shift):
+        k, mu = shift_instance(p)
+        base, _ = variance(k, mu, 10)
+        v_h, v_g = variance(k.shifted(-shift), mu, 10)
+        assert v_h == pytest.approx(base, rel=1e-9)
+        assert v_g == pytest.approx(base, rel=1e-9)
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_decompose_levels_match_unshifted(self, p, shift):
+        k, mu = shift_instance(p)
+        base = decompose(k, mu)
+        hs = decompose(k.shifted(-shift), mu)
+        assert float(hs.psi[0]) == pytest.approx(float(base.psi[0]) + shift, rel=1e-12)
+        for s in range(1, p + 1):
+            # the stored shifted kernel is k + shift rounded: 1e-16 * shift per entry
+            assert np.allclose(hs.psi[s], base.psi[s], rtol=0.0, atol=1e-13 * shift)
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_variance_against_exact_enumeration(self, p, shift):
+        # exact variance of the stored float kernel over all 3**6 samples
+        k, mu = shift_instance(p)
+        kernel = k.shifted(-shift)
+        n = 6
+        weights = [Fraction(float(w)) for w in mu.weights]
+        probs = [w / sum(weights) for w in weights]
+        mean = second = Fraction(0)
+        for x in all_samples(3, n):
+            prob = math.prod(probs[sym] for sym in x)
+            u = ustat_direct(kernel, x, num=Fraction)
+            mean += prob * u
+            second += prob * u * u
+        oracle = float(second - mean * mean)
+        v_h, v_g = variance(kernel, mu, n)
+        assert v_h == pytest.approx(oracle, rel=1e-9)
+        assert v_g == pytest.approx(oracle, rel=1e-9)

@@ -116,6 +116,11 @@ class TestSimulate:
         with pytest.raises(PreconditionError):
             simulate(const, HALF, 10, 100, seed=0, normalization="exact")
 
+    def test_exact_normalization_decomposes_once(self, decompose_calls):
+        k = SymmetricKernel(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        simulate(k, HALF, 10, 50, seed=1, normalization="exact")
+        assert decompose_calls == [2]
+
     def test_determinism(self):
         a = simulate(COIN, HALF, 25, 500, seed=9, normalization="exact")
         b = simulate(COIN, HALF, 25, 500, seed=9, normalization="exact")
