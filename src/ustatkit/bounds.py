@@ -238,7 +238,8 @@ def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
              for s in range(p + 1)]
 
     b1, b2 = bound_degenerate_1d(hs.psi_kernel(m), mu, n, kappa)
-    y = b1 if b1.total <= b2.total else b2
+    # at rank 1 both totals are the same number, so round-off must not choose
+    y = b1 if b1.total <= b2.total * (1.0 + 1e-12) else b2
     variant = "b1" if y is b1 else "b2"
 
     remainder = 0.0

@@ -3,12 +3,13 @@
 A graph is built on n sampled points with edges between distinct points at
 Euclidean distance strictly between 0 and the radius; the statistic counts
 p-subsets whose induced graph is isomorphic to a fixed connected pattern.
-Counting is exact: a KD-tree lists the pairs within the radius once (edge
-counts of points on a line come from sorting instead), the strict predicate
-keeps the edges, and for p >= 3 the connected induced vertex
+Counting is exact: a sliding-midpoint KD-tree lists the pairs within the
+radius once (edge counts of points on a line come from sorting instead), the
+strict predicate keeps the edges, and for p >= 3 the connected induced vertex
 sets of that graph are grown from its edges (as in Wernicke's ESU motif
 enumeration, IEEE/ACM TCBB 2006) and classified by their adjacency bit codes
-against the pattern's precomputed isomorphism codes.
+against the pattern's precomputed isomorphism codes.  Point tuples are
+classified from their pairs i < j by `_sq_dist`, as the edge list is.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .montecarlo import (
 
 MAX_PATTERN_VERTICES = 7
 
-#: elements of the (chunk, inner, p, p, d) difference array that
-#: ``geometric_codes`` builds per kernel evaluation in ``gk_contraction_mc``
+#: ``gk_contraction_mc`` sizes its outer chunks so that chunk * inner * p * p * d
+#: stays below this; the chunk size fixes the summation order of its estimates
 _GK_CHUNK_ELEMENTS = 1_000_000
 
 
@@ -125,16 +126,22 @@ def complete_pattern(p: int) -> GraphPattern:
     return GraphPattern(a, name=f"complete{p}")
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance over the last axis, summed one coordinate at a time."""
+    d2 = (a[..., 0] - b[..., 0]) ** 2
+    for k in range(1, a.shape[-1]):
+        d2 += (a[..., k] - b[..., k]) ** 2
+    return d2
+
+
 def geometric_codes(points: np.ndarray, t: float) -> np.ndarray:
-    """Bit-encoded adjacency of point tuples; edges need 0 < distance < t."""
+    """Bit-encoded adjacency of point tuples from their pairs i < j; 0 < distance < t."""
     pts = np.asarray(points, dtype=float)
     p = pts.shape[-2]
-    diff = pts[..., :, None, :] - pts[..., None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
     codes = np.zeros(pts.shape[:-2], dtype=np.int64)
     for b, (i, j) in enumerate(itertools.combinations(range(p), 2)):
-        edge = (d2[..., i, j] > 0.0) & (d2[..., i, j] < t * t)
-        codes |= edge.astype(np.int64) << b
+        d2 = _sq_dist(pts[..., i, :], pts[..., j, :])
+        codes |= ((d2 > 0.0) & (d2 < t * t)).astype(np.int64) << b
     return codes
 
 
@@ -156,8 +163,10 @@ def pattern_kernel(points: np.ndarray, pat: GraphPattern, t: float) -> int:
 
 def _strict_pairs(pts: np.ndarray, t: float):
     """KD-tree pairs (i < j) within t, and the mask of those at 0 < distance < t."""
-    pairs = cKDTree(pts).query_pairs(r=t, output_type="ndarray")
-    d2 = np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=1)
+    # sliding-midpoint splits build faster; the strict mask makes the pairs tree-free
+    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(r=t, output_type="ndarray")
+    d2 = _sq_dist(pts[pairs[:, 0]], pts[pairs[:, 1]])
     return pairs, (d2 > 0.0) & (d2 < t * t)
 
 

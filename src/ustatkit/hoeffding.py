@@ -46,12 +46,14 @@ class HoeffdingSet:
 
     ``g[k]`` and ``psi[s]`` are raw tensors of order k and s; the order-0
     entries are 0-d arrays.  ``g[p]`` equals the source kernel and ``psi[0]``
-    equals ``g[0]`` (the expectation of the source kernel).
+    equals ``g[0]`` (the expectation of the source kernel).  ``c[k]`` are the
+    projections of the centred kernel ``g[p] - g[0]``.
     """
 
     source: SymmetricKernel
     g: tuple
     psi: tuple
+    c: tuple
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -142,7 +144,7 @@ def decompose(kernel: SymmetricKernel, mu: DiscreteMeasure) -> HoeffdingSet:
                 f"psi_{s} fails the degeneracy test: defect {defect:g}"
             )
 
-    return HoeffdingSet(source=kernel, g=tuple(g), psi=tuple(psi))
+    return HoeffdingSet(source=kernel, g=tuple(g), psi=tuple(psi), c=tuple(c))
 
 
 def _multiset_terms(values: np.ndarray):
@@ -239,10 +241,10 @@ def variance(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int):
 
 
 def _level_variances(hs: HoeffdingSet, mu: DiscreteMeasure):
-    """``(||psi_s||^2, ||g_s - g_0||^2)`` for s = 1..p: Var(psi_s) and Var(g_s)."""
-    g0 = float(hs.g[0])
+    """``(||psi_s||^2, ||c_s - c_0||^2)`` for s = 1..p: Var(psi_s) and Var(g_s), shift-free."""
+    c0 = float(hs.c[0])
     return [(tensor_lp_norm(hs.psi[s], mu, 2.0) ** 2,
-             tensor_lp_norm(hs.g[s] - g0, mu, 2.0) ** 2)
+             tensor_lp_norm(hs.c[s] - c0, mu, 2.0) ** 2)
             for s in range(1, hs.order + 1)]
 
 

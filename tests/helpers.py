@@ -100,5 +100,16 @@ def brute_subgraph_count(points, pat, t):
     return total
 
 
+def brute_codes(tuples, t):
+    """Adjacency bit codes of point tuples read off the full squared-distance matrix."""
+    pts = np.asarray(tuples, dtype=float)
+    d2 = ((pts[..., :, None, :] - pts[..., None, :, :]) ** 2).sum(-1)
+    adj = (d2 > 0.0) & (d2 < t * t)
+    codes = np.zeros(pts.shape[:-2], dtype=np.int64)
+    for b, (i, j) in enumerate(itertools.combinations(range(pts.shape[-2]), 2)):
+        codes += adj[..., i, j] * 2**b
+    return codes
+
+
 def comb(n, k):
     return math.comb(n, k)

@@ -164,6 +164,23 @@ class TestDominant:
             assert scaled.total == pytest.approx(rep.total, rel=1e-9)
         assert rep.terms["residual"] <= rep.extras["remainder_kernel_free"] + 1e-12
 
+    def test_rank_one_reports_b1(self):
+        # at rank 1 b1's contraction term and b2's fourth-moment term coincide
+        rng = np.random.default_rng(70)
+        for i in range(40):
+            p, m = 1 + i % 4, 2 + i % 3
+            mu = random_measure(rng, m)
+            k = random_kernel(rng, p, m)
+            rep = bound_dominant(k, mu, 2 * p + 6)
+            assert rep.extras["rank"] == 1
+            assert rep.extras["degenerate_variant"] == "b1"
+            centred = k.shifted(float(decompose(k, mu).g[0]))
+            hs = decompose(k.scaled(1.0 / lp_norm(centred, mu, 2.0)), mu)
+            b1, b2 = bound_degenerate_1d(hs.psi_kernel(1), mu, 2 * p + 6)
+            assert b1.total == pytest.approx(b2.total, rel=1e-12)
+            assert rep.total == pytest.approx(min(b1.total, b2.total) + rep.terms["residual"],
+                                              rel=1e-12)
+
     def test_zero_kernel_rejected(self):
         mu = DiscreteMeasure(np.array([0.5, 0.5]))
         with pytest.raises(PreconditionError):

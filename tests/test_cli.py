@@ -65,20 +65,30 @@ class TestDecompose:
         assert code == 2
 
 
+SHIFTED_ARGVS = [
+    ["decompose", "--n", "10"],
+    ["simulate", "--n", "10", "--reps", "100", "--normalization", "exact"],
+]
+
+
 class TestShiftedKernel:
-    @pytest.mark.parametrize("argv", [
-        ["decompose", "--n", "10"],
-        ["simulate", "--n", "10", "--reps", "100", "--normalization", "exact"],
-    ])
+    @pytest.mark.parametrize("argv", SHIFTED_ARGVS)
     def test_large_mean_is_valid(self, tmp_path, argv):
         # a mean 1e3 times the kernel's spread must not trip a numeric contract
+        assert self._run(tmp_path, argv, 1e3) == 0
+
+    @pytest.mark.parametrize("argv", SHIFTED_ARGVS)
+    def test_mean_of_1e9_is_valid(self, tmp_path, argv):
+        assert self._run(tmp_path, argv, 1e9) == 0
+
+    @staticmethod
+    def _run(tmp_path, argv, shift):
         kernel, mu = shift_instance(2)
         kpath, mpath = tmp_path / "K.json", tmp_path / "M.json"
         kpath.write_text(json.dumps({"order": 2, "alphabet": 3,
-                                     "values": (kernel.values + 1e3).ravel().tolist()}))
+                                     "values": (kernel.values + shift).ravel().tolist()}))
         mpath.write_text(json.dumps({"weights": mu.weights.tolist()}))
-        assert main(argv[:1] + ["--kernel", str(kpath), "--measure", str(mpath)]
-                    + argv[1:]) == 0
+        return main(argv[:1] + ["--kernel", str(kpath), "--measure", str(mpath)] + argv[1:])
 
 
 class TestProductCheck:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from ustatkit import (
     DensityModel,
@@ -20,7 +21,7 @@ from ustatkit.errors import CapacityError, ParameterError, PreconditionError
 from ustatkit.geomgraph import _unique_rows, pattern_indicator, regime_targets
 from ustatkit.montecarlo import ols_loglog
 
-from helpers import brute_subgraph_count
+from helpers import brute_codes, brute_subgraph_count
 
 EDGE = named_pattern("edge")
 TRIANGLE = named_pattern("triangle")
@@ -89,6 +90,66 @@ class TestPatternKernel:
         vec = pattern_indicator(batch, PATH3, 0.25)
         for i in range(40):
             assert vec[i] == pattern_kernel(batch[i], PATH3, 0.25)
+
+
+class TestGeometricCodes:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("p", [2, 3, 4, 7])
+    def test_codes_match_full_distance_matrix(self, p, d):
+        rng = np.random.default_rng(100 + 10 * p + d)
+        # lattice coordinates in {0, 1, 2} give exact integer squared distances,
+        # so pairs tie at t = 1, 2 and 3; every fifth tuple repeats a point
+        lat = rng.integers(0, 3, size=(500, p, d)).astype(float)
+        lat[::5, 1] = lat[::5, 0]
+        for t in (1.0, 1.5, 2.0, 3.0):
+            want = brute_codes(lat, t)
+            assert np.array_equal(geomgraph.geometric_codes(lat, t), want)
+        assert np.count_nonzero(want) > 0
+        cont = rng.random((500, p, d))
+        t = 0.4 * d**0.5
+        assert np.array_equal(geomgraph.geometric_codes(cont, t), brute_codes(cont, t))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_edge_bit_is_the_edge_list_mask(self, d):
+        rng = np.random.default_rng(120 + d)
+        # half-integer lattice points (ties at t = 1, repeats) and uniform points
+        pts = np.concatenate([rng.integers(0, 4, size=(60, d)) * 0.5,
+                              rng.random((60, d)) * 2.0])
+        t = 1.0
+        pairs, mask = geomgraph._strict_pairs(pts, t)
+        assert np.array_equal(geomgraph.geometric_codes(pts[pairs], t) == 1, mask)
+        i, j = np.triu_indices(len(pts), k=1)
+        bits = geomgraph.geometric_codes(np.stack([pts[i], pts[j]], axis=1), t)
+        assert set(zip(i[bits == 1], j[bits == 1])) == set(map(tuple, pairs[mask]))
+
+
+class TestStrictPairs:
+    @pytest.mark.parametrize("kind, d", [("uniform", 2), ("uniform", 3), ("gaussian", 2)])
+    def test_sliding_midpoint_tree_keeps_the_pair_set(self, kind, d):
+        rng = np.random.default_rng(130 + d)
+        for n in (128, 256, 512, 1024, 2048, 4096):
+            pts = rng.random((n, d)) if kind == "uniform" else rng.standard_normal((n, d))
+            # the C4 radius at rho = 1 (the motif sweeps) and a denser one
+            for t in (n ** (-1.0 / d), n**-0.25):
+                assert _edge_keys(*geomgraph._strict_pairs(pts, t), n) == \
+                    _balanced_tree_edge_keys(pts, t)
+
+    def test_lattice_ties_keep_the_pair_set(self):
+        pts = np.concatenate([lattice(12, 2), lattice(12, 2)[:20]])
+        for t in (1.0, 1.5, 2.0):
+            assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
+                _balanced_tree_edge_keys(pts, t)
+
+
+def _edge_keys(pairs, mask, n):
+    return sorted((pairs[mask, 0] * n + pairs[mask, 1]).tolist())
+
+
+def _balanced_tree_edge_keys(pts, t):
+    # the default (median-split) tree, with the strict mask applied by hand
+    pairs = cKDTree(pts).query_pairs(r=t, output_type="ndarray")
+    d2 = ((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2).sum(axis=1)
+    return _edge_keys(pairs, (d2 > 0.0) & (d2 < t * t), len(pts))
 
 
 class TestCountSubgraphs:
