@@ -127,26 +127,34 @@ def complete_pattern(p: int) -> GraphPattern:
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance over the last axis, summed one coordinate at a time."""
+    """Squared Euclidean distance over the last axis of two broadcastable arrays,
+    summed one coordinate at a time."""
     d2 = (a[..., 0] - b[..., 0]) ** 2
     for k in range(1, a.shape[-1]):
         d2 += (a[..., k] - b[..., k]) ** 2
     return d2
 
 
-def geometric_codes(points: np.ndarray, t: float) -> np.ndarray:
-    """Bit-encoded adjacency of point tuples from their pairs i < j; 0 < distance < t."""
-    pts = np.asarray(points, dtype=float)
-    p = pts.shape[-2]
-    codes = np.zeros(pts.shape[:-2], dtype=np.int64)
-    for b, (i, j) in enumerate(itertools.combinations(range(p), 2)):
-        d2 = _sq_dist(pts[..., i, :], pts[..., j, :])
+def geometric_codes(points, t: float) -> np.ndarray:
+    """Bit-encoded adjacency of point tuples from their pairs i < j; 0 < distance < t.
+
+    ``points`` is an array (..., p, d) of tuples, or a list of the p vertices'
+    arrays (..., d), which broadcast against each other.
+    """
+    if isinstance(points, list):
+        vertices = [np.asarray(v, dtype=float) for v in points]
+    else:
+        vertices = list(np.moveaxis(np.asarray(points, dtype=float), -2, 0))
+    codes = np.zeros(np.broadcast_shapes(*(v.shape[:-1] for v in vertices)), dtype=np.int64)
+    for b, (i, j) in enumerate(itertools.combinations(range(len(vertices)), 2)):
+        d2 = _sq_dist(vertices[i], vertices[j])
         codes |= ((d2 > 0.0) & (d2 < t * t)).astype(np.int64) << b
     return codes
 
 
-def pattern_indicator(points: np.ndarray, pat: GraphPattern, t: float) -> np.ndarray:
-    """Vectorized induced-isomorphism indicator over batches of p-point tuples."""
+def pattern_indicator(points, pat: GraphPattern, t: float) -> np.ndarray:
+    """Vectorized induced-isomorphism indicator over batches of p-point tuples,
+    given as ``geometric_codes`` takes them."""
     codes = geometric_codes(points, t)
     return np.isin(codes, pat._iso_codes).astype(float)
 
@@ -694,21 +702,23 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
     rng_a = stream(seed, Purpose.GK_INNER_A)
     rng_b = stream(seed, Purpose.GK_INNER_B)
 
-    def inner_mean(rng, y_share, y_own_i, y_own_k, c):
+    def draw_vertices(rng, shape, m):
+        # m points per tuple, as a list of m vertex arrays (*shape, d)
+        if not m:
+            return []
+        pts = density.sample(rng, math.prod(shape) * m).reshape(*shape, m, d)
+        return list(np.moveaxis(pts, -2, 0))
+
+    def inner_mean(rng, shared, own_i, own_k, c):
         # one inner copy: average over `inner` draws of the product of the two
-        # kernel evaluations sharing the integrated block
-        u = density.sample(rng, c * inner * tau).reshape(c, inner, tau, d) \
-            if tau else np.zeros((c, inner, 0, d))
-        vi = density.sample(rng, c * inner * n_comp_i).reshape(c, inner, n_comp_i, d) \
-            if n_comp_i else np.zeros((c, inner, 0, d))
-        vk = density.sample(rng, c * inner * n_comp_k).reshape(c, inner, n_comp_k, d) \
-            if n_comp_k else np.zeros((c, inner, 0, d))
-        share = np.broadcast_to(y_share[:, None, :, :], (c, inner, n_share, d))
-        own_i = np.broadcast_to(y_own_i[:, None, :, :], (c, inner, n_own_i, d))
-        own_k = np.broadcast_to(y_own_k[:, None, :, :], (c, inner, n_own_k, d))
-        pts_i = np.concatenate([u, share, own_i, vi], axis=2)
-        pts_k = np.concatenate([u, share, own_k, vk], axis=2)
-        vals = pattern_indicator(pts_i, pat, t) * pattern_indicator(pts_k, pat, t)
+        # kernel evaluations sharing the integrated block; the outer vertices
+        # (c, 1, d) broadcast against the inner draws (c, inner, d)
+        u = draw_vertices(rng, (c, inner), tau)
+        vi = draw_vertices(rng, (c, inner), n_comp_i)
+        vk = draw_vertices(rng, (c, inner), n_comp_k)
+        vals = pattern_indicator(u + shared + own_i + vi, pat, t) * \
+            pattern_indicator(u + shared + own_k + vk, pat, t)
+        # 0/1 values, so a (c, 1) product averages to the same bits as (c, inner)
         return vals.mean(axis=1)
 
     chunk = max(1, min(mc_samples, _GK_CHUNK_ELEMENTS // (inner * p * p * d)))
@@ -716,13 +726,12 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
     total_sq = 0.0
     for done in range(0, mc_samples, chunk):
         c = min(chunk, mc_samples - done)
-        y = density.sample(outer_rng, c * n_outer).reshape(c, n_outer, d) \
-            if n_outer else np.zeros((c, 0, d))
-        y_share = y[:, :n_share]
-        y_own_i = y[:, n_share:n_share + n_own_i]
-        y_own_k = y[:, n_share + n_own_i:]
-        est = inner_mean(rng_a, y_share, y_own_i, y_own_k, c) * \
-            inner_mean(rng_b, y_share, y_own_i, y_own_k, c)
+        y = draw_vertices(outer_rng, (c, 1), n_outer)
+        shared = y[:n_share]
+        own_i = y[n_share:n_share + n_own_i]
+        own_k = y[n_share + n_own_i:]
+        est = inner_mean(rng_a, shared, own_i, own_k, c) * \
+            inner_mean(rng_b, shared, own_i, own_k, c)
         total += float(est.sum())
         total_sq += float(np.dot(est, est))
 

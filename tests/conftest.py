@@ -16,3 +16,15 @@ def decompose_calls(monkeypatch):
     for module in (hoeffding, bounds, montecarlo, product):
         monkeypatch.setattr(module, "decompose", counting)
     return calls
+
+
+@pytest.fixture
+def replicate_workers(monkeypatch):
+    """Call with a CPU count to run `montecarlo._replicates` on that many
+    workers whatever a replicate costs; 1 keeps every replicate in-process."""
+
+    def use(count):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(montecarlo, "_FORK_MIN_S", 0.0)
+
+    return use

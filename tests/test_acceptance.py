@@ -314,7 +314,7 @@ def test_c12_projection_contraction_scaling():
           f"slope {slope:.3f} vs 3, {elapsed:.1f}s")
 
 
-def test_c13_cli_determinism(tmp_path):
+def test_c13_cli_determinism(tmp_path, replicate_workers):
     import json
     from ustatkit.cli import main
 
@@ -332,11 +332,19 @@ def test_c13_cli_determinism(tmp_path):
          "--regime", "C4", "--rho", "1.0", "--ns", "64,128,256,512",
          "--reps", "120", "--seed", "3"],
     ]
-    ok = True
-    for idx, argv in enumerate(commands):
-        a, b = tmp_path / f"a{idx}.json", tmp_path / f"b{idx}.json"
-        ok = ok and main(argv + ["--out", str(a)]) == 0
-        ok = ok and main(argv + ["--out", str(b)]) == 0
-        ok = ok and a.read_bytes() == b.read_bytes()
+
+    def reports(tag):
+        out = []
+        for idx, argv in enumerate(commands):
+            path = tmp_path / f"{tag}{idx}.json"
+            out.append(path.read_bytes() if main(argv + ["--out", str(path)]) == 0 else None)
+        return out
+
+    a, b = reports("a"), reports("b")
+    replicate_workers(1)
+    one = reports("one")
+    replicate_workers(2)
+    two = reports("two")
+    ok = None not in a and a == b == one == two
     _emit(13, "identical configurations produce byte-identical reports", ok,
-          f"{len(commands)} commands compared")
+          f"{len(commands)} commands compared, also at 1 and 2 replicate workers")

@@ -109,6 +109,17 @@ class TestGeometricCodes:
         t = 0.4 * d**0.5
         assert np.array_equal(geomgraph.geometric_codes(cont, t), brute_codes(cont, t))
 
+    def test_vertex_list_matches_tuple_array(self):
+        # shared vertices (50, 1, d) broadcast against per-draw vertices (50, 8, d)
+        rng = np.random.default_rng(110)
+        shapes = [(50, 8, 3), (50, 1, 3), (50, 8, 3), (50, 1, 3)]
+        vertices = [rng.integers(0, 3, size=s) * 0.5 for s in shapes]
+        tuples = np.stack(np.broadcast_arrays(*vertices), axis=-2)
+        for t in (0.5, 1.0, 1.2):
+            codes = geomgraph.geometric_codes(vertices, t)
+            assert np.array_equal(codes, geomgraph.geometric_codes(tuples, t))
+            assert np.array_equal(codes, brute_codes(tuples, t))
+
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_edge_bit_is_the_edge_list_mask(self, d):
         rng = np.random.default_rng(120 + d)
@@ -331,8 +342,10 @@ class TestRegimeExperiment:
 
 
 @pytest.fixture
-def philox_keys(monkeypatch):
+def philox_keys(monkeypatch, replicate_workers):
     """Every Philox key built while the test runs, in construction order."""
+    # keys built in forked replicate workers would never reach this list
+    replicate_workers(1)
     keys = []
     philox = np.random.Philox
 

@@ -1,5 +1,7 @@
 import ast
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,18 @@ from ustatkit import (
     wasserstein_to_normal,
 )
 from ustatkit.errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
+from ustatkit.geomgraph import (
+    DensityModel,
+    RadiusSchedule,
+    named_pattern,
+    regime_experiment,
+    variance_lower_bound_check,
+)
 from ustatkit.montecarlo import (
     NormalizationRecord,
     Purpose,
     ReplicateSet,
+    _replicates,
     coupling_bias,
     coupling_distance,
     debiased_distance,
@@ -103,6 +113,110 @@ class TestStreams:
             ("montecarlo", "stream", "<< 32"),
             ("core", "_check_symmetry", "np.random.default_rng(0)"),
         }
+
+
+def _index(rng):
+    """The replicate index j of a stream built by `stream`."""
+    return int(rng.bit_generator.state["state"]["key"][1]) & 0xFFFFFFFF
+
+
+def _fail_at(bad):
+    """A draw that raises ``bad[j]`` at the replicates j it names."""
+
+    def draw(rng):
+        j = _index(rng)
+        if j in bad:
+            raise bad[j]
+        return rng.integers(0, 1000)
+
+    return draw
+
+
+class TestReplicateWorkers:
+    MU = DiscreteMeasure(np.array([0.2, 0.3, 0.5]))
+
+    def _both(self, replicate_workers, run):
+        replicate_workers(1)
+        serial = run()
+        replicate_workers(2)
+        return serial, run()
+
+    def test_forked_rows_match_serial_rows(self, replicate_workers):
+        draws = (
+            (lambda: np.empty(41), lambda rng: rng.poisson(30.0)),
+            (lambda: np.empty((41, 3), dtype=np.int64),
+             lambda rng: rng.multinomial(500, self.MU.weights)),
+        )
+        for make, draw in draws:
+            serial, forked = self._both(
+                replicate_workers, lambda: _replicates(make(), draw, 7, Purpose.REPLICATE, 3))
+            assert serial.dtype == forked.dtype
+            assert serial.tobytes() == forked.tobytes()
+
+    def test_blocks_run_in_children(self, replicate_workers):
+        replicate_workers(3)
+        pids = _replicates(np.empty(9, dtype=np.int64), lambda rng: os.getpid(), 1)
+        assert list(pids[:3]) == [os.getpid()] * 3
+        assert len(set(pids[3:6])) == len(set(pids[6:])) == 1
+        assert len(set(pids)) == 3
+
+    def test_callers_match_at_one_and_two_workers(self, replicate_workers):
+        edge, box = named_pattern("edge"), DensityModel("uniform-box", 2)
+        kernel = SymmetricKernel(np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.3],
+                                           [0.0, 0.3, 2.0]]))
+        runs = (
+            lambda: repr(regime_experiment(edge, box, RadiusSchedule("C4", rho=1.0),
+                                           [64, 128, 256, 512], 100, seed=3).to_dict()),
+            lambda: repr(variance_lower_bound_check(edge, box, 0.1, 64, 200, seed=5,
+                                                    q_samples=1000)),
+            lambda: simulate(kernel, self.MU, 30, 500, seed=9).values.tobytes(),
+            lambda: simulate(kernel, self.MU, 30, 500, seed=9,
+                             normalization="empirical").values.tobytes(),
+        )
+        for run in runs:
+            serial, forked = self._both(replicate_workers, run)
+            assert serial == forked
+
+    def test_child_error_is_reraised(self, replicate_workers):
+        replicate_workers(2)
+        with pytest.raises(ZeroDivisionError, match="^replicate 7$"):
+            _replicates(np.empty(10), _fail_at({7: ZeroDivisionError("replicate 7")}), 1)
+
+    @pytest.mark.parametrize("bad, want", [
+        ({4: KeyError("block 1"), 7: ValueError("block 2")}, KeyError),
+        ({8: KeyError("block 2"), 2: ValueError("block 0")}, ValueError),
+        ({0: ValueError("replicate 0"), 5: KeyError("block 1")}, ValueError),
+    ])
+    def test_lowest_failing_block_wins(self, replicate_workers, bad, want):
+        replicate_workers(3)
+        with pytest.raises(want):
+            _replicates(np.empty(9), _fail_at(bad), 1)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_child_or_pipe_is_left(self, replicate_workers):
+        replicate_workers(3)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        _replicates(np.empty(9), _fail_at({}), 1)
+        with pytest.raises(KeyError):
+            _replicates(np.empty(9), _fail_at({1: KeyError("parent block")}), 1)
+        with pytest.raises(KeyError):
+            _replicates(np.empty(9), _fail_at({4: KeyError("child block")}), 1)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_stays_in_process_while_a_thread_runs(self, replicate_workers):
+        replicate_workers(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30.0,))
+        other.start()
+        try:
+            pids = _replicates(np.empty(8, dtype=np.int64), lambda rng: os.getpid(), 1)
+        finally:
+            release.set()
+            other.join(timeout=30.0)
+        assert not other.is_alive()
+        assert set(pids) == {os.getpid()}
 
 
 class TestSimulate:
