@@ -107,7 +107,8 @@ class ContinuousKernelSpec:
     array of shape ``(...,)`` and must be invariant under permutations of the
     ``order`` axis.  ``sampler(rng, n)`` returns ``n`` points of the underlying
     distribution as an ``(n, dimension)`` array; identical generator state must
-    yield identical points.
+    yield identical points.  Simulation re-keys one generator for every
+    replicate, so ``sampler`` must not keep ``rng`` after it returns.
     """
 
     order: int

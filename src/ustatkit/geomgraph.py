@@ -345,6 +345,8 @@ class DensityModel:
 
     kind: str  # "uniform-box" | "uniform-ball" | "gaussian" | "custom"
     dimension: int
+    # (rng, n) -> (n, dimension) points of a custom density; replicate loops
+    # re-key one generator for every replicate, so it must not keep rng
     sampler_fn: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
     def __post_init__(self):

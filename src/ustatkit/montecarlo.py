@@ -5,8 +5,9 @@ builds, keyed by (seed, purpose << 56 | slot << 32 | j) with the purpose from
 the ``Purpose`` registry; range checks make the key injective (Salmon et al.
 2011).  Replicate j of slot s reads (seed, REPLICATE, s, j) whatever the
 execution order: slot 0 in ``simulate``, slot i + 1 for the i-th sample size
-of a regime sweep.  ``_replicates``, the one replicate loop, therefore splits
-a long replicate range into contiguous blocks over forked workers, one per CPU
+of a regime sweep.  ``_replicates``, the one replicate loop, builds one
+generator per call and re-keys it to stream j before replicate j, and splits a
+long replicate range into contiguous blocks over forked workers, one per CPU
 the process may use; results do not depend on the number of workers.
 """
 
@@ -37,8 +38,9 @@ CONTINUOUS_N_CAP = {1: 10**6, 2: 10**4, 3: 500}
 MIN_REPLICATES_FOR_DISTANCE = 100
 
 #: ``_replicates`` forks workers only when the first replicate's time, times the
-#: replicates left, exceeds this; a fork plus the return of its rows measured
-#: 8-10 ms on a 2-vCPU x86-64 VM
+#: replicates left, exceeds this.  On a 2-vCPU x86-64 VM, 2,000 three-symbol
+#: multinomial replicates took 14 ms in-process and 18-28 ms on 2 forced
+#: workers: a fork plus the return of its rows costs 10-20 ms
 _FORK_MIN_S = 0.05
 
 
@@ -74,7 +76,8 @@ def stream(seed: int, purpose: Purpose, slot: int = 0, j: int = 0, *,
     """Counter-based generator keyed by (seed, purpose << 56 | slot << 32 | j).
 
     Raises ParameterError when a field is out of range, so the key is
-    injective; ``_replicates`` checks its whole index range once instead.
+    injective.  ``_replicates`` checks its whole index range once, builds
+    stream 0 of its slot and re-keys that generator for each replicate j.
     """
     if _checked:
         _check_key(seed, purpose, slot, j)
@@ -97,23 +100,36 @@ def _replicates(out: np.ndarray, draw: Callable[[np.random.Generator], object],
 
     Replicate j reads only its own stream, so the values do not depend on the
     order in which replicates run; the key range is checked once per call.
+    One generator serves every replicate of a call: before replicate j it is
+    re-keyed to stream j and rewound to that stream's start, so ``draw`` must
+    not keep the generator after it returns.
     Replicate 0 runs here and is timed.  When the rest would take longer than
     ``_FORK_MIN_S``, the rows are split into one contiguous block per usable
     CPU: this process fills the first block and forked children the others
-    (only where ``os.fork`` exists and no other Python thread is alive).  The
-    exception of the lowest failing block is raised, as a serial loop would.
-    Only the rows come back from a child, so ``draw`` must not rely on side
-    effects.
+    (only where ``os.fork`` exists and no other Python thread is alive), each
+    re-keying its own copy of the generator.  The exception of the lowest
+    failing block is raised, as a serial loop would.  Only the rows come back
+    from a child, so ``draw`` must not rely on side effects.
     """
     reps = out.shape[0]
     _check_key(seed, purpose, slot, max(reps - 1, 0))
+    if reps == 0:
+        return out
+    # building a Philox generator costs several cheap draws; assigning a state
+    # sets the counter, the buffer and the spare 32-bit word along with the
+    # key, so stream 0's pristine state with j OR-ed into key[1] is stream j's
+    rng = stream(seed, purpose, slot, 0, _checked=False)
+    bits = rng.bit_generator
+    state = bits.state
+    key = state["state"]["key"]
+    word = int(key[1])
 
     def fill(lo: int, hi: int) -> None:
         for j in range(lo, hi):
-            out[j] = draw(stream(seed, purpose, slot, j, _checked=False))
+            key[1] = word | j
+            bits.state = state
+            out[j] = draw(rng)
 
-    if reps == 0:
-        return out
     start = time.perf_counter()
     fill(0, 1)
     workers = 1

@@ -16,7 +16,7 @@ from ustatkit import (
     regime_experiment,
     variance_lower_bound_check,
 )
-from ustatkit import geomgraph
+from ustatkit import geomgraph, montecarlo
 from ustatkit.errors import CapacityError, ParameterError, PreconditionError
 from ustatkit.geomgraph import _unique_rows, pattern_indicator, regime_targets
 from ustatkit.montecarlo import ols_loglog
@@ -343,17 +343,36 @@ class TestRegimeExperiment:
 
 @pytest.fixture
 def philox_keys(monkeypatch, replicate_workers):
-    """Every Philox key built while the test runs, in construction order."""
-    # keys built in forked replicate workers would never reach this list
+    """Every Philox key read while the test runs, in order: the key of each
+    generator built outside a replicate loop and the key each replicate's
+    draw receives.  A replicate loop re-keys the one generator it builds, so
+    its keys are read from the draws, once per replicate."""
+    # keys read in forked replicate workers would never reach this list
     replicate_workers(1)
     keys = []
+    in_loop = []
     philox = np.random.Philox
+    replicates = montecarlo._replicates
 
     def recording(*args, key=None, **kwargs):
-        keys.append(tuple(int(w) for w in key))
+        if not in_loop:
+            keys.append(tuple(int(w) for w in key))
         return philox(*args, key=key, **kwargs)
 
+    def recording_replicates(out, draw, *args, **kwargs):
+        def keyed(rng):
+            keys.append(tuple(int(w) for w in rng.bit_generator.state["state"]["key"]))
+            return draw(rng)
+
+        in_loop.append(True)
+        try:
+            return replicates(out, keyed, *args, **kwargs)
+        finally:
+            in_loop.pop()
+
     monkeypatch.setattr(np.random, "Philox", recording)
+    for module in (montecarlo, geomgraph):
+        monkeypatch.setattr(module, "_replicates", recording_replicates)
     return keys
 
 
@@ -363,6 +382,7 @@ class TestStreamKeys:
         regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), list(range(20, 121)),
                           100, seed=3)
         gk_contraction_mc(EDGE, BOX2, 0.3, 1, 1, 1, 1, 10_000, seed=3, inner=4)
+        assert len(philox_keys) >= 101 * 100
         assert len(philox_keys) == len(set(philox_keys))
 
     def test_variance_check_misses_sweep_streams(self, philox_keys):
@@ -370,6 +390,7 @@ class TestStreamKeys:
         regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), [64, 128, 256, 512],
                           100, seed=5)
         variance_lower_bound_check(EDGE, BOX2, 0.1, 2, 100, seed=5, q_samples=1000)
+        assert len(philox_keys) >= 4 * 100 + 100
         assert len(philox_keys) == len(set(philox_keys))
 
 

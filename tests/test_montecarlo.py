@@ -13,6 +13,7 @@ from ustatkit import (
     DiscreteMeasure,
     SymmetricKernel,
     benchmark_kernel,
+    montecarlo,
     rate_fit,
     simulate,
     smooth_distance,
@@ -130,6 +131,84 @@ def _fail_at(bad):
         return rng.integers(0, 1000)
 
     return draw
+
+
+def _dirty_draw(rng):
+    """Five draw kinds, led by kind j % 5 of replicate j, as bytes.  Nine
+    32-bit draws in all leave the generator holding half of a 64-bit word,
+    and part of its Philox block, for the next replicate."""
+    kinds = (
+        lambda: rng.multinomial(40, [0.2, 0.3, 0.5]),
+        lambda: rng.random(3),
+        lambda: rng.standard_normal(3),
+        lambda: rng.integers(0, 2**31, size=4, dtype=np.int32),
+        lambda: rng.integers(0, 2**63, size=2, dtype=np.int64),
+    )
+    lead = _index(rng) % len(kinds)
+    rows = [kind() for kind in kinds[lead:] + kinds[:lead]]
+    rows.append(rng.integers(0, 2**31, size=5, dtype=np.int32))
+    return b"".join(row.tobytes() for row in rows)
+
+
+def _ends(*args):
+    """`range`, cut to its first and last three members."""
+    r = range(*args)
+    return r if len(r) <= 6 else [*r[:3], *r[-3:]]
+
+
+class _SparseRows:
+    """Stands in for a replicate array of 2**32 rows; keeps the rows filled."""
+
+    shape = (2**32,)
+
+    def __init__(self):
+        self.rows = {}
+
+    def __setitem__(self, j, row):
+        if len(self.rows) >= 8:
+            raise RuntimeError("the replicate loop ran past its thinned range")
+        self.rows[j] = row
+
+
+class TestRekey:
+    KEYS = ((7, Purpose.REPLICATE, 3), (2**64 - 1, Purpose.GK_INNER_B, 2**24 - 1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed, purpose, slot", KEYS)
+    def test_draws_match_fresh_streams(self, replicate_workers, workers, seed, purpose,
+                                       slot):
+        replicate_workers(workers)
+        out = _replicates(np.empty(23, dtype=object), _dirty_draw, seed, purpose, slot)
+        for j, row in enumerate(out):
+            assert row == _dirty_draw(stream(seed, purpose, slot, j))
+
+    def test_top_replicate_index(self, replicate_workers, monkeypatch):
+        # the loop's range is thinned to its ends, so replicates 2**32 - 3 to
+        # 2**32 - 1 run straight after replicates 0 to 3
+        replicate_workers(1)
+        monkeypatch.setattr(montecarlo, "range", _ends, raising=False)
+        seed, purpose, slot = self.KEYS[1]
+        out = _replicates(_SparseRows(), _dirty_draw, seed, purpose, slot)
+        assert sorted(out.rows) == [0, 1, 2, 3, 2**32 - 3, 2**32 - 2, 2**32 - 1]
+        for j, row in out.rows.items():
+            assert row == _dirty_draw(stream(seed, purpose, slot, j))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_generator_per_process(self, replicate_workers, monkeypatch, workers):
+        # a forked worker starts from a copy of the parent's list, so every
+        # row reads 1 when no process built a second generator
+        replicate_workers(workers)
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        rows = _replicates(np.empty(40, dtype=np.int64), lambda rng: len(built), 1)
+        assert len(built) == 1
+        assert set(rows) == {1}
 
 
 class TestReplicateWorkers:
