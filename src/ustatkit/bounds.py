@@ -3,8 +3,9 @@
 Every bound here is assembled from exactly computed contraction norms and the
 exact finite-n combinatorial ratio from `product.prefactor_ratio`; no asymptotic
 constant is ever guessed.  The norms of a kernel pair come from one
-`contractions._contraction_table`, the sums run over `product._overlaps`, and
-the bounds that keep only the diagonal contractions share one
+`contractions._contraction_table`, the sums run over `product._overlaps`, the
+aggregates that keep every contraction share one `_full_terms`, and the
+bounds that keep only the diagonal contractions share one
 `_diagonal_l4_split`.  The order-dependent constants kappa_p of the
 underlying exchangeable-pair argument are configuration inputs (default 1.0,
 flagged), and each report keeps the kappa contribution as a separate term so
@@ -132,6 +133,17 @@ def _diagonal_l4_split(n: int, i: int, k: int, diag_norm):
     return diag, l4
 
 
+def _full_terms(n: int, i: int, k: int, table: dict) -> dict:
+    """``prefactor_ratio(n, i, k, t, r) * ||contraction (r, t - r)||`` for every
+    admissible (t, r) of orders (i, k), t ascending.
+
+    The aggregates that keep every contraction add them with ``+=`` in this
+    order; the builtin ``sum`` compensates round-off from Python 3.12 on.
+    """
+    return {(t, r): prefactor_ratio(n, i, k, t, r) * table[(r, t - r)].l2_norm
+            for t in range(1, i + k) for r in _overlaps(t, i, k)}
+
+
 def _projection_max(table: dict, s: int, l: int) -> float:
     # max ||g_i *_r^t g_k|| over 0 <= t <= r <= s, t <= l, r - t <= s - l
     return max(table[(r, t)].l2_norm for r in range(0, s + 1) for t in range(0, r + 1)
@@ -163,13 +175,10 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     kap, prov = kappa.get(p)
     kap_term = KAPPA_COEF * math.sqrt(p * kap / n)
 
-    b1_terms_by_index = {}
+    b1_terms_by_index = {key: v / l2**2 for key, v in _full_terms(n, p, p, cn).items()}
     b1_sum = 0.0
-    for t in range(1, 2 * p):
-        for r in _overlaps(t, p, p):
-            val = prefactor_ratio(n, p, p, t, r) * cn[(r, t - r)].l2_norm / l2**2
-            b1_terms_by_index[(t, r)] = val
-            b1_sum += val
+    for v in b1_terms_by_index.values():
+        b1_sum += v
     b1 = _report(
         terms={"contraction": W1_COEF * b1_sum, "kappa": kap_term},
         extras={"per_index": {f"t={t},r={r}": v for (t, r), v in b1_terms_by_index.items()},
@@ -283,9 +292,8 @@ def contraction_aggregates(psi_i: SymmetricKernel, psi_k: SymmetricKernel,
     cn = _contraction_table(psi_i, psi_k, mu)
 
     a1 = 0.0
-    for t in range(1, pi + pk):
-        for r in _overlaps(t, pi, pk):
-            a1 += prefactor_ratio(n, pi, pk, t, r) * cn[(r, t - r)].l2_norm
+    for v in _full_terms(n, pi, pk, cn).values():
+        a1 += v
 
     l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
     diag, l4_sum = _diagonal_l4_split(n, pi, pk, lambda s: cn[(s, s)].l2_norm)
@@ -447,15 +455,19 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     def g0max(i: int) -> float:
         return max(tables[(i, i)][(r, 0)].l2_norm for r in range(0, i + 1))
 
+    def admissible(i: int, k: int):
+        # the (s, l) of the level contractions of orders (i, k)
+        return [(s, l) for s in range(1, min(i, k) + 1)
+                for l in range(0, min(i + k - s - 1, s) + 1)]
+
     def b_one(i: int, k: int) -> float:
         out = 0.0
-        for s in range(1, min(i, k) + 1):
-            for l in range(0, min(i + k - s - 1, s) + 1):
-                out += (
-                    prefactor_ratio(n, i, k, l + s, s)
-                    * prefac(i, k)
-                    * _projection_max(tables[(i, k)], s, l)
-                )
+        for s, l in admissible(i, k):
+            out += (
+                prefactor_ratio(n, i, k, l + s, s)
+                * prefac(i, k)
+                * _projection_max(tables[(i, k)], s, l)
+            )
         return out
 
     def b_two(i: int, k: int) -> float:
@@ -466,13 +478,12 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
 
     def b_one_env(i: int, k: int) -> float:
         out = 0.0
-        for s in range(1, min(i, k) + 1):
-            for l in range(0, min(i + k - s - 1, s) + 1):
-                out = max(
-                    out,
-                    float(n) ** (2 * p - (i + k + s - l) / 2.0) / sigma**2
-                    * _projection_max(tables[(i, k)], s, l),
-                )
+        for s, l in admissible(i, k):
+            out = max(
+                out,
+                float(n) ** (2 * p - (i + k + s - l) / 2.0) / sigma**2
+                * _projection_max(tables[(i, k)], s, l),
+            )
         return out
 
     def b_two_env(i: int, k: int) -> float:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, geomgraph, hoeffding, montecarlo
-from .core import DiscreteMeasure, SymmetricKernel, lp_norm
+from .core import DiscreteMeasure, SymmetricKernel, _defect, lp_norm
 from .contractions import contract
 from .errors import (
     CapacityError,
@@ -36,35 +36,23 @@ EXIT_CAPACITY = 3
 EXIT_CONTRACT = 4
 
 
-def _fmt(obj):
-    if isinstance(obj, dict):
-        return {str(k): _fmt(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_fmt(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _fmt(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
-
-
 def _render(obj, out) -> None:
-    # fixed float formatting keeps reports byte-stable across runs
-    if isinstance(obj, float):
-        out.append(format(obj, ".17g") if math.isfinite(obj) else "null")
-    elif isinstance(obj, bool):
+    # numpy scalars and arrays are read as the Python values they hold; bools
+    # come before numbers, since a bool is an int; fixed float formatting keeps
+    # reports byte-stable across runs
+    if isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format(float(obj), ".17g") if math.isfinite(obj) else "null")
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, int):
-        out.append(str(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, list):
+    elif isinstance(obj, np.ndarray):
+        _render(obj.tolist(), out)
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for idx, v in enumerate(obj):
             if idx:
@@ -73,10 +61,10 @@ def _render(obj, out) -> None:
         out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
-        for idx, (k, v) in enumerate(sorted(obj.items())):
+        for idx, (k, v) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
             if idx:
                 out.append(", ")
-            out.append(json.dumps(str(k)) + ": ")
+            out.append(json.dumps(k) + ": ")
             _render(v, out)
         out.append("}")
     else:
@@ -85,7 +73,7 @@ def _render(obj, out) -> None:
 
 def canonical_json(obj) -> str:
     out = []
-    _render(_fmt(obj), out)
+    _render(obj, out)
     return "".join(out) + "\n"
 
 
@@ -163,7 +151,7 @@ def _cmd_decompose(args) -> dict:
             lp_norm(hs.psi_kernel(s), mu, 2.0) for s in range(1, kernel.order + 1)
         ],
         "degeneracy_defects": [0.0] + [
-            float(np.max(np.abs(np.tensordot(mu.weights, hs.psi[s], axes=([0], [0])))))
+            float(np.max(np.abs(_defect(hs.psi[s], mu))))
             for s in range(1, kernel.order + 1)
         ],
         "psi": [float(hs.psi[0])] + [hs.psi[s].tolist() for s in range(1, kernel.order + 1)],
@@ -209,7 +197,10 @@ def _cmd_bound(args) -> dict:
     kernel = load_kernel(args.kernel)
     mu = load_measure(args.measure)
     kappa = load_kappa(args.kappa)
-    m1, m2, m3 = (float(x) for x in args.profile.split(","))
+    try:
+        m1, m2, m3 = (float(x) for x in args.profile.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"field 'profile' needs three comma-separated numbers: {exc}") from exc
     profile = bounds.TestFunctionProfile(m1=m1, m2=m2, m3=m3)
     if args.variant in ("b1", "b2"):
         b1, b2 = bounds.bound_degenerate_1d(kernel, mu, args.n, kappa)
@@ -267,7 +258,10 @@ def _cmd_geomgraph(args) -> dict:
         if args.beta is None:
             raise ParameterError(f"field 'beta' is required for regime {args.regime}")
         schedule = geomgraph.RadiusSchedule(regime=args.regime, beta=args.beta)
-    ns = [int(x) for x in args.ns.split(",") if x.strip()]
+    try:
+        ns = [int(x) for x in args.ns.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"field 'ns' must be comma-separated integers: {exc}") from exc
     report = geomgraph.regime_experiment(pat, density, schedule, ns, args.reps, args.seed)
     if args.csv:
         cols = ["n", "t", "mean", "mean_se", "var", "var_se", "dw", "dw_se"]

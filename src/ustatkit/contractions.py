@@ -9,19 +9,13 @@ assumes they are.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DiscreteMeasure,
-    SymmetricKernel,
-    contract_tensors,
-    lp_norm,
-    tensor_inner,
-    tensor_lp_norm,
-)
-from .errors import DimensionError, ParameterError
+from .core import DiscreteMeasure, SymmetricKernel, lp_norm, tensor_inner, tensor_lp_norm
+from .errors import CapacityError, DimensionError, ParameterError
 
 #: additive slack for inequality checks (float accumulation over <= 1e6 terms)
 INEQ_SLACK = 1e-12
@@ -49,14 +43,24 @@ def contract(psi: SymmetricKernel, phi: SymmetricKernel, r: int, l: int,
     """Exact contraction ``psi *_r^l phi`` over the finite alphabet.
 
     For l = 0 no integration happens and the result is the pointwise product
-    on the identified coordinates; r = l = 0 gives the tensor product.
+    on the identified coordinates; r = l = 0 gives the tensor product.  One
+    einsum performs the blocked summation, so each output entry is one
+    fixed-order sum and results do not depend on internal scheduling.
     """
     if psi.alphabet_size != phi.alphabet_size or psi.alphabet_size != mu.alphabet_size:
         raise DimensionError("kernels and measure must share one alphabet")
     p, q = psi.order, phi.order
     if not (0 <= l <= r <= min(p, q)):
         raise ParameterError(f"need 0 <= l <= r <= min({p}, {q}), got r={r}, l={l}")
-    out = contract_tensors(psi.values, phi.values, r, l, mu)
+    if p + q > len(string.ascii_lowercase):
+        raise CapacityError("combined order too large for dense contraction")
+    letters = iter(string.ascii_lowercase)
+    x = [next(letters) for _ in range(l)]
+    y = [next(letters) for _ in range(r - l)]
+    t = [next(letters) for _ in range(p - r)]
+    s = [next(letters) for _ in range(q - r)]
+    subscripts = ",".join(["".join(x + y + t), "".join(x + y + s)] + x) + "->" + "".join(y + t + s)
+    out = np.einsum(subscripts, psi.values, phi.values, *[mu.weights] * l)
     return ContractionResult(tensor=out, r=r, l=l,
                              l2_norm=tensor_lp_norm(out, mu, 2.0))
 

@@ -6,14 +6,15 @@ Tensors are dense numpy arrays of shape ``(m,) * p`` in row-major
 exact enumeration is cheap, so every identity on finite alphabets is
 computed by full summation rather than sampling.  Continuous-space
 kernels are never materialized as tensors; they are handled by Monte
-Carlo in the simulation modules.
+Carlo in the simulation modules.  The degeneracy defect of a raw tensor is
+formed only by `_defect`; contractions are formed only by
+`contractions.contract`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import dataclass
 from typing import Callable
 
@@ -212,37 +213,14 @@ def degeneracy_defect(kernel: SymmetricKernel, mu: DiscreteMeasure) -> np.ndarra
     Returns an order-(p-1) tensor (a 0-d array when p = 1).
     """
     _check_same_alphabet(kernel, mu)
-    return np.tensordot(mu.weights, kernel.values, axes=([0], [0]))
+    return _defect(kernel.values, mu)
+
+
+def _defect(values: np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
+    """Integral of a raw tensor over its first coordinate, as `degeneracy_defect`."""
+    return np.tensordot(mu.weights, values, axes=([0], [0]))
 
 
 def is_degenerate(kernel: SymmetricKernel, mu: DiscreteMeasure,
                   tol: float = DEGENERACY_TOL) -> bool:
     return float(np.max(np.abs(degeneracy_defect(kernel, mu)))) <= tol
-
-
-def contract_tensors(a: np.ndarray, b: np.ndarray, r: int, l: int,
-                     mu: DiscreteMeasure) -> np.ndarray:
-    """Raw contraction of two symmetric cubes; see `contractions.contract`.
-
-    Output axes are ordered (shared-kept block, a-only block, b-only block).
-    einsum performs the blocked summation, so each output entry is one
-    fixed-order sum and results do not depend on internal scheduling.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    p, q = a.ndim, b.ndim
-    if not (0 <= l <= r <= min(p, q)):
-        raise ParameterError(f"need 0 <= l <= r <= min(p, q), got r={r}, l={l}")
-    if p + q > len(string.ascii_lowercase):
-        raise CapacityError("combined order too large for dense contraction")
-    letters = iter(string.ascii_lowercase)
-    x = [next(letters) for _ in range(l)]
-    y = [next(letters) for _ in range(r - l)]
-    t = [next(letters) for _ in range(p - r)]
-    s = [next(letters) for _ in range(q - r)]
-    sub_a = "".join(x + y + t)
-    sub_b = "".join(x + y + s)
-    out = "".join(y + t + s)
-    operands = [a, b] + [mu.weights] * l
-    subscripts = ",".join([sub_a, sub_b] + x) + "->" + out
-    return np.einsum(subscripts, *operands)

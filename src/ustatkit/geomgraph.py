@@ -9,7 +9,8 @@ strict predicate keeps the edges, and for p >= 3 the connected induced vertex
 sets of that graph are grown from its edges (as in Wernicke's ESU motif
 enumeration, IEEE/ACM TCBB 2006) and classified by their adjacency bit codes
 against the pattern's precomputed isomorphism codes.  Point tuples are
-classified from their pairs i < j by `_sq_dist`, as the edge list is.
+classified from their pairs i < j by `_strict_adjacent`, as the edge list is,
+and every bit code has the one layout of `_pair_codes`.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ MAX_PATTERN_VERTICES = 7
 _GK_CHUNK_ELEMENTS = 1_000_000
 
 
-def _pair_bits(p: int) -> dict:
-    bits = {}
+def _pair_codes(shape, p: int, adjacent) -> np.ndarray:
+    """Adjacency bit codes of p-vertex tuples: bit b is set where ``adjacent(i, j)`` holds
+    for the b-th pair i < j of ``itertools.combinations(range(p), 2)``, OR-ed in
+    place into a zero array of the full ``shape``, which each pair broadcasts to."""
+    codes = np.zeros(shape, dtype=np.int64)
     for b, (i, j) in enumerate(itertools.combinations(range(p), 2)):
-        bits[(i, j)] = b
-    return bits
+        codes |= adjacent(i, j).astype(np.int64) << b
+    return codes
 
 
 @dataclass(frozen=True)
@@ -76,15 +80,9 @@ class GraphPattern:
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 
-        bits = _pair_bits(p)
-        codes = set()
-        for perm in itertools.permutations(range(p)):
-            code = 0
-            for (i, j), b in bits.items():
-                if a[perm[i], perm[j]]:
-                    code |= 1 << b
-            codes.add(code)
-        arr = np.array(sorted(codes), dtype=np.int64)
+        # the codes of every relabelling of the vertices, sorted and distinct
+        perms = np.array(list(itertools.permutations(range(p))))
+        arr = np.unique(_pair_codes(len(perms), p, lambda i, j: a[perms[:, i], perms[:, j]]))
         arr.setflags(write=False)
         object.__setattr__(self, "_iso_codes", arr)
 
@@ -126,17 +124,17 @@ def complete_pattern(p: int) -> GraphPattern:
     return GraphPattern(a, name=f"complete{p}")
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance over the last axis of two broadcastable arrays,
-    summed one coordinate at a time."""
+def _strict_adjacent(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """Whether 0 < d**2 < t**2 for the Euclidean distance d over the last axis of
+    two broadcastable point arrays; d**2 is summed one coordinate at a time."""
     d2 = (a[..., 0] - b[..., 0]) ** 2
     for k in range(1, a.shape[-1]):
         d2 += (a[..., k] - b[..., k]) ** 2
-    return d2
+    return (d2 > 0.0) & (d2 < t * t)
 
 
 def geometric_codes(points, t: float) -> np.ndarray:
-    """Bit-encoded adjacency of point tuples from their pairs i < j; 0 < distance < t.
+    """Bit codes (`_pair_codes`) of point tuples from their pairs i < j at 0 < distance < t.
 
     ``points`` is an array (..., p, d) of tuples, or a list of the p vertices'
     arrays (..., d), which broadcast against each other.
@@ -145,11 +143,8 @@ def geometric_codes(points, t: float) -> np.ndarray:
         vertices = [np.asarray(v, dtype=float) for v in points]
     else:
         vertices = list(np.moveaxis(np.asarray(points, dtype=float), -2, 0))
-    codes = np.zeros(np.broadcast_shapes(*(v.shape[:-1] for v in vertices)), dtype=np.int64)
-    for b, (i, j) in enumerate(itertools.combinations(range(len(vertices)), 2)):
-        d2 = _sq_dist(vertices[i], vertices[j])
-        codes |= ((d2 > 0.0) & (d2 < t * t)).astype(np.int64) << b
-    return codes
+    return _pair_codes(np.broadcast_shapes(*(v.shape[:-1] for v in vertices)), len(vertices),
+                       lambda i, j: _strict_adjacent(vertices[i], vertices[j], t))
 
 
 def pattern_indicator(points, pat: GraphPattern, t: float) -> np.ndarray:
@@ -174,8 +169,7 @@ def _strict_pairs(pts: np.ndarray, t: float):
     # sliding-midpoint splits build faster; the strict mask makes the pairs tree-free
     tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
     pairs = tree.query_pairs(r=t, output_type="ndarray")
-    d2 = _sq_dist(pts[pairs[:, 0]], pts[pairs[:, 1]])
-    return pairs, (d2 > 0.0) & (d2 < t * t)
+    return pairs, _strict_adjacent(pts[pairs[:, 0]], pts[pairs[:, 1]], t)
 
 
 def _strict_count_1d(x: np.ndarray, t: float) -> int:
@@ -291,9 +285,7 @@ def _count_grown(graph: _StrictGraph, rows: np.ndarray, pat: GraphPattern) -> in
     if m == 0:
         return 0
     if k == p:
-        codes = np.zeros(m, dtype=np.int64)
-        for b, (i, j) in enumerate(itertools.combinations(range(p), 2)):
-            codes |= graph.adjacent(rows[:, i], rows[:, j]).astype(np.int64) << b
+        codes = _pair_codes(m, p, lambda i, j: graph.adjacent(rows[:, i], rows[:, j]))
         return int(np.count_nonzero(np.isin(codes, pat._iso_codes)))
     cnt = np.diff(graph.indptr)[rows]
     size = cnt.sum(axis=1) * (k + 1)
@@ -456,6 +448,15 @@ class RegimeReport:
             "records": list(self.records),
             "exponents": self.exponents,
         }
+
+
+def _sample_vertices(density: DensityModel, rng: np.random.Generator, shape, m: int) -> list:
+    """m density points per tuple of the given shape, as a list of m vertex
+    arrays (*shape, d); the tuples are drawn one after another."""
+    if not m:
+        return []
+    pts = density.sample(rng, math.prod(shape) * m).reshape(*shape, m, density.dimension)
+    return list(np.moveaxis(pts, -2, 0))
 
 
 def _bootstrap_stats(counts: np.ndarray, rng: np.random.Generator, b: int = 200):
@@ -632,8 +633,7 @@ def variance_lower_bound_check(pat: GraphPattern, density: DensityModel,
     chunk = 50_000
     for done in range(0, q_samples, chunk):
         b = min(chunk, q_samples - done)
-        pts = density.sample(qrng, b * p).reshape(b, p, density.dimension)
-        hits += float(pattern_indicator(pts, pat, t).sum())
+        hits += float(pattern_indicator(_sample_vertices(density, qrng, (b,), p), pat, t).sum())
     q_hat = hits / q_samples
     q_se = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / q_samples)
     cnp = math.comb(n, p)
@@ -704,20 +704,13 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
     rng_a = stream(seed, Purpose.GK_INNER_A)
     rng_b = stream(seed, Purpose.GK_INNER_B)
 
-    def draw_vertices(rng, shape, m):
-        # m points per tuple, as a list of m vertex arrays (*shape, d)
-        if not m:
-            return []
-        pts = density.sample(rng, math.prod(shape) * m).reshape(*shape, m, d)
-        return list(np.moveaxis(pts, -2, 0))
-
     def inner_mean(rng, shared, own_i, own_k, c):
         # one inner copy: average over `inner` draws of the product of the two
         # kernel evaluations sharing the integrated block; the outer vertices
         # (c, 1, d) broadcast against the inner draws (c, inner, d)
-        u = draw_vertices(rng, (c, inner), tau)
-        vi = draw_vertices(rng, (c, inner), n_comp_i)
-        vk = draw_vertices(rng, (c, inner), n_comp_k)
+        u = _sample_vertices(density, rng, (c, inner), tau)
+        vi = _sample_vertices(density, rng, (c, inner), n_comp_i)
+        vk = _sample_vertices(density, rng, (c, inner), n_comp_k)
         vals = pattern_indicator(u + shared + own_i + vi, pat, t) * \
             pattern_indicator(u + shared + own_k + vk, pat, t)
         # 0/1 values, so a (c, 1) product averages to the same bits as (c, inner)
@@ -728,7 +721,7 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
     total_sq = 0.0
     for done in range(0, mc_samples, chunk):
         c = min(chunk, mc_samples - done)
-        y = draw_vertices(outer_rng, (c, 1), n_outer)
+        y = _sample_vertices(density, outer_rng, (c, 1), n_outer)
         shared = y[:n_share]
         own_i = y[n_share:n_share + n_own_i]
         own_k = y[n_share + n_own_i:]

@@ -26,6 +26,7 @@ from .core import (
     DiscreteMeasure,
     SymmetricKernel,
     _check_same_alphabet,
+    _defect,
     tensor_lp_norm,
 )
 from .errors import ContractViolationError, ParameterError
@@ -138,7 +139,7 @@ def decompose(kernel: SymmetricKernel, mu: DiscreteMeasure) -> HoeffdingSet:
             raise ContractViolationError(
                 f"degenerate-kernel constructions disagree at order {s}: gap {gap:g}"
             )
-        defect = float(np.max(np.abs(np.tensordot(mu.weights, psi[s], axes=([0], [0])))))
+        defect = float(np.max(np.abs(_defect(psi[s], mu))))
         if defect > DEGENERACY_TOL:
             raise ContractViolationError(
                 f"psi_{s} fails the degeneracy test: defect {defect:g}"

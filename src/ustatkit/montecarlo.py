@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 import os
@@ -219,28 +220,15 @@ class ReplicateSet:
 
 
 def _continuous_ustat(spec: ContinuousKernelSpec, pts: np.ndarray) -> float:
-    n = pts.shape[0]
-    p = spec.order
-    if p == 1:
-        return float(np.sum(spec.evaluator(pts[:, None, :])))
-    if p == 2:
-        total = 0.0
-        for i in range(n - 1):
-            others = pts[i + 1:]
-            batch = np.concatenate(
-                [np.broadcast_to(pts[i], others.shape)[:, None, :], others[:, None, :]],
-                axis=1,
-            )
-            total += float(np.sum(spec.evaluator(batch)))
-        return total
-    # p == 3; heavier orders are refused by the cap check
+    """Sum of the evaluator over every p-subset of the points, in lexicographic
+    order: each (p - 1)-prefix is evaluated in one batch against the points
+    after its last index (p = 1 is the single empty prefix)."""
     total = 0.0
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            others = pts[j + 1:]
-            lead = np.broadcast_to(np.stack([pts[i], pts[j]]), (others.shape[0], 2, spec.dimension))
-            batch = np.concatenate([lead, others[:, None, :]], axis=1)
-            total += float(np.sum(spec.evaluator(batch)))
+    for prefix in itertools.combinations(range(pts.shape[0] - 1), spec.order - 1):
+        others = pts[prefix[-1] + 1 if prefix else 0:]
+        lead = np.broadcast_to(pts[list(prefix)], (others.shape[0], len(prefix), spec.dimension))
+        batch = np.concatenate([lead, others[:, None, :]], axis=1)
+        total += float(np.sum(spec.evaluator(batch)))
     return total
 
 

@@ -36,6 +36,11 @@ class TestCanonicalJson:
                                "z": np.array([1.0, 2.0])})
         assert '"x": 0.5' in text and '"y": 3' in text and '"z": [1, 2]' in text
 
+    def test_bools_are_json_bools(self):
+        # a Python bool is an int, so it must be recognised before numbers
+        text = canonical_json({"a": True, "b": np.bool_(False), "c": [False]})
+        assert text == '{"a": true, "b": false, "c": [false]}\n'
+
 
 class TestDecompose:
     def test_identity_kernel_report(self, files, capsys):
@@ -156,6 +161,23 @@ class TestBound:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["total"] > 0
+
+
+FIELD_ARGVS = [
+    (["bound", "--n", "20", "--variant", "general-B", "--profile", "1,1"], "profile"),
+    (["bound", "--n", "20", "--variant", "general-B", "--profile", "1,x,1"], "profile"),
+    (["geomgraph", "--pattern", "edge", "--density", "uniform-box", "--dim", "2",
+      "--regime", "C4", "--rho", "1.0", "--ns", "64,1e2,256,512", "--reps", "100"], "ns"),
+]
+
+
+class TestListFields:
+    @pytest.mark.parametrize(("argv", "field"), FIELD_ARGVS)
+    def test_malformed_list_names_its_field(self, files, capsys, argv, field):
+        if argv[0] == "bound":
+            argv = argv[:1] + ["--kernel", files["kernel"], "--measure", files["measure"]] + argv[1:]
+        assert main(argv) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
 
 
 class TestSimulate:

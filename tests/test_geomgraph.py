@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,29 @@ class TestGraphPattern:
         assert EDGE.p == 2 and EDGE.edge_count == 1
         assert TRIANGLE.p == 3 and TRIANGLE.edge_count == 3
         assert PATH3.p == 3 and PATH3.edge_count == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+    def test_iso_codes_match_relabelling_loop(self, p):
+        # every labelled graph on up to 4 vertices, seeded random ones above
+        pairs = list(itertools.combinations(range(p), 2))
+        masks = (range(1 << len(pairs)) if p <= 4
+                 else np.random.default_rng(p).integers(1, 1 << len(pairs), size=8))
+        checked = 0
+        for mask in map(int, masks):
+            a = np.zeros((p, p), dtype=bool)
+            for b, (i, j) in enumerate(pairs):
+                a[i, j] = a[j, i] = bool(mask >> b & 1)
+            try:
+                pat = GraphPattern(a)
+            except ParameterError:  # disconnected
+                continue
+            want = set()
+            for perm in itertools.permutations(range(p)):
+                want.add(sum(1 << b for b, (i, j) in enumerate(pairs) if a[perm[i], perm[j]]))
+            assert pat._iso_codes.tolist() == sorted(want)
+            checked += 1
+        # 1, 4 and 38 labelled graphs on 2, 3 and 4 vertices are connected
+        assert checked == {2: 1, 3: 4, 4: 38}.get(p, checked) and checked > 0
 
 
 class TestPatternKernel:

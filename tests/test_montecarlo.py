@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import threading
@@ -356,6 +357,22 @@ class TestSimulate:
         assert rep.replicates == 200
         with pytest.raises(ConfigurationError):
             simulate(spec, None, 40, 200, seed=8, normalization="exact")
+
+    @pytest.mark.parametrize(("order", "n"), [(1, 15), (2, 13), (3, 11)])
+    def test_continuous_matches_subset_sum(self, order, n):
+        spec = ContinuousKernelSpec(
+            order=order, dimension=2,
+            evaluator=lambda pts: (np.exp(-np.sum(pts.sum(axis=-2) ** 2, axis=-1))
+                                   + np.prod(pts[..., 0], axis=-1)),
+            sampler=lambda rng, n: rng.random((n, 2)),
+        )
+        rep = simulate(spec, None, n, 3, seed=12, normalization="empirical")
+        for j in range(3):
+            pts = spec.sampler(stream(12, Purpose.REPLICATE, 0, j), n)
+            direct = sum(float(spec.evaluator(pts[list(c)][None])[0])
+                         for c in itertools.combinations(range(n), order))
+            raw = rep.values[j] * rep.normalization.sd + rep.normalization.mean
+            assert raw == pytest.approx(direct, rel=1e-12)
 
     def test_continuous_capacity(self):
         spec = ContinuousKernelSpec(
