@@ -420,9 +420,7 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     p = psi.order
     if n < 2 * p:
         raise ParameterError(f"need n >= 2p = {2 * p}, got {n}")
-    g0 = float(compute_g(psi, mu, 0))
-    # the projection-contraction tables below need centred projections
-    hs = decompose(psi.shifted(g0), mu)
+    hs = decompose(psi, mu)
     var_n, _ = _variance(hs, mu, n)
     if var_n <= 0.0:
         raise PreconditionError("statistic must have positive variance")
@@ -445,8 +443,8 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
             * math.sqrt(binom(n, k)) * binom(n - k, p - k) / (sigma**2)
         )
 
-    # one projection-contraction table per level pair i <= k
-    tables = {(i, k): _contraction_table(hs.g_kernel(i), hs.g_kernel(k), mu)
+    # one table of centred projection contractions per level pair i <= k
+    tables = {(i, k): _contraction_table(hs._kernel("c", i), hs._kernel("c", k), mu)
               for i in range(1, p + 1) for k in range(i, p + 1)}
 
     def g_diag(i: int, k: int, s: int) -> float:
@@ -524,7 +522,7 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
         terms={"second_order": t1, "third_order": t2, "kappa": t3},
         extras={
             "variant": variant,
-            "centered_shift": g0,
+            "centered_shift": float(hs.g[0]),
             "sigma_sq": var_n,
             "level_norms": unit_norms[1:],
             "kappa_provenance": {i: kap_info[i][1] for i in kap_info},

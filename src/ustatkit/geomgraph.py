@@ -28,6 +28,7 @@ from .montecarlo import (
     NormalizationRecord,
     Purpose,
     ReplicateSet,
+    _block_rows,
     _replicates,
     coupling_bias,
     debiased_distance,
@@ -39,9 +40,10 @@ from .montecarlo import (
 
 MAX_PATTERN_VERTICES = 7
 
-#: ``gk_contraction_mc`` sizes its outer chunks so that chunk * inner * p * p * d
-#: stays below this; the chunk size fixes the summation order of its estimates
-_GK_CHUNK_ELEMENTS = 1_000_000
+#: largest row, in outer samples, of ``gk_contraction_mc`` and, in tuples, of
+#: the variance check's pattern probability; each fixes the estimate it cuts
+_GK_ROW = 256
+_Q_ROW = 50_000
 
 
 def _pair_codes(shape, p: int, adjacent) -> np.ndarray:
@@ -508,6 +510,8 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
     d = density.dimension
     if reps < 100:
         raise ParameterError("regime experiments need at least 100 replicates")
+    if bootstrap < 2:
+        raise ParameterError(f"bootstrap needs at least 2 resamples, got {bootstrap}")
     ns = [int(n) for n in ns]
     if len(ns) < 4:
         raise ParameterError("regime sweeps need at least 4 sample sizes")
@@ -618,23 +622,24 @@ def variance_lower_bound_check(pat: GraphPattern, density: DensityModel,
     q - q^2 with q the pattern probability; the count variance can never fall
     below the binomially weighted single-tuple variance.  Returns both sides
     with standard errors and an ``ok`` flag at three combined SEs.  Replicate
-    j reads the stream (seed, VARCHECK, n, j), so n must stay below 2**24.
+    j reads the stream (seed, VARCHECK, n, j), so n must stay below 2**24, and
+    row j of at most ``_Q_ROW`` q-sample tuples reads (seed, QPROB, 0, j).
     """
     if not density.is_uniform:
         raise ParameterError("the variance lower bound check targets uniform densities")
+    if reps < 2:
+        raise ParameterError(f"reps needs at least 2 replicates, got {reps}")
+    if q_samples < 1:
+        raise ParameterError(f"q_samples needs at least 1 tuple, got {q_samples}")
     p = pat.p
     counts = _replicates(np.empty(reps), lambda rng: count_subgraphs(
         density.sample(rng, n), pat, t), seed, Purpose.VARCHECK, n)
     lhs = float(counts.var(ddof=1))
     _, lhs_se = _bootstrap_stats(counts, stream(seed, Purpose.VARBOOT), 200)
 
-    qrng = stream(seed, Purpose.QPROB)
-    hits = 0.0
-    chunk = 50_000
-    for done in range(0, q_samples, chunk):
-        b = min(chunk, q_samples - done)
-        hits += float(pattern_indicator(_sample_vertices(density, qrng, (b,), p), pat, t).sum())
-    q_hat = hits / q_samples
+    hits = _block_rows(q_samples, _Q_ROW, lambda rng, b: pattern_indicator(
+        _sample_vertices(density, rng, (b,), p), pat, t), seed, Purpose.QPROB)
+    q_hat = float(hits.mean())
     q_se = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / q_samples)
     cnp = math.comb(n, p)
     rhs = cnp * (q_hat - q_hat * q_hat)
@@ -677,10 +682,11 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
     Estimates ``||g_i *_r^tau g_k||`` for the pattern indicator kernel at
     radius t, where g_j integrates the kernel over p - j coordinates.  Two
     independent inner estimates of the contraction integrand are multiplied,
-    which makes the squared-norm estimator unbiased (inner streams A/B and the
-    outer stream are disjoint); the square root is then slightly conservative
-    at the reported standard error.  Estimates whose SE exceeds 30% of the
-    value are flagged unreliable rather than rejected.
+    which makes the squared-norm estimator unbiased; the square root is then
+    slightly conservative at the reported standard error.  Row j of at most
+    ``_GK_ROW`` outer samples reads the stream (seed, GK, 0, j): outer points,
+    then inner copy A, then inner copy B.  Estimates whose SE exceeds 30% of
+    the value are flagged unreliable rather than rejected.
     """
     p = pat.p
     if not (1 <= i <= p and 1 <= k <= p):
@@ -689,20 +695,17 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
         raise ParameterError(f"need 0 <= tau <= r <= min(i, k), got r={r}, tau={tau}")
     if mc_samples < 10_000:
         raise ParameterError("need at least 10^4 outer samples")
+    if inner < 1:
+        raise ParameterError(f"inner needs at least 1 draw, got {inner}")
     if t <= 0:
         raise ParameterError("radius must be positive")
 
-    d = density.dimension
     n_share = r - tau       # shared kept coordinates
     n_own_i = i - r
     n_own_k = k - r
     n_outer = n_share + n_own_i + n_own_k
     n_comp_i = p - i
     n_comp_k = p - k
-
-    outer_rng = stream(seed, Purpose.GK_OUTER)
-    rng_a = stream(seed, Purpose.GK_INNER_A)
-    rng_b = stream(seed, Purpose.GK_INNER_B)
 
     def inner_mean(rng, shared, own_i, own_k, c):
         # one inner copy: average over `inner` draws of the product of the two
@@ -716,22 +719,17 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
         # 0/1 values, so a (c, 1) product averages to the same bits as (c, inner)
         return vals.mean(axis=1)
 
-    chunk = max(1, min(mc_samples, _GK_CHUNK_ELEMENTS // (inner * p * p * d)))
-    total = 0.0
-    total_sq = 0.0
-    for done in range(0, mc_samples, chunk):
-        c = min(chunk, mc_samples - done)
-        y = _sample_vertices(density, outer_rng, (c, 1), n_outer)
+    def block(rng, c):
+        y = _sample_vertices(density, rng, (c, 1), n_outer)
         shared = y[:n_share]
         own_i = y[n_share:n_share + n_own_i]
         own_k = y[n_share + n_own_i:]
-        est = inner_mean(rng_a, shared, own_i, own_k, c) * \
-            inner_mean(rng_b, shared, own_i, own_k, c)
-        total += float(est.sum())
-        total_sq += float(np.dot(est, est))
+        return inner_mean(rng, shared, own_i, own_k, c) * \
+            inner_mean(rng, shared, own_i, own_k, c)
 
-    sq_mean = total / mc_samples
-    sq_var = max(total_sq / mc_samples - sq_mean**2, 0.0)
+    est = _block_rows(mc_samples, _GK_ROW, block, seed, Purpose.GK)
+    sq_mean = float(est.mean())
+    sq_var = float(est.var())
     sq_se = math.sqrt(sq_var / mc_samples)
     value = math.sqrt(max(sq_mean, 0.0))
     stderr = sq_se / (2.0 * value) if value > 0 else math.sqrt(sq_se)

@@ -5,10 +5,10 @@ builds, keyed by (seed, purpose << 56 | slot << 32 | j) with the purpose from
 the ``Purpose`` registry; range checks make the key injective (Salmon et al.
 2011).  Replicate j of slot s reads (seed, REPLICATE, s, j) whatever the
 execution order: slot 0 in ``simulate``, slot i + 1 for the i-th sample size
-of a regime sweep.  ``_replicates``, the one replicate loop, builds one
-generator per call and re-keys it to stream j before replicate j, and splits a
-long replicate range into contiguous blocks over forked workers, one per CPU
-the process may use; results do not depend on the number of workers.
+of a regime sweep.  ``_replicates``, the one loop of every Monte Carlo
+estimate, builds one generator per call, re-keys it to stream j before row j
+and splits a long row range into contiguous blocks over forked workers, one
+per usable CPU; results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -51,17 +51,15 @@ class Purpose(enum.IntEnum):
 
     REPLICATE = 0      # replicate j of slot s
     BOOTSTRAP = 1      # distance bootstrap of a replicate set's slot
-    CALIBRATION = 2    # noise floor of the coupling distance
+    CALIBRATION = 2    # noise floor of the coupling distance: sample j
     GAUSSIAN = 3       # normal side of a smooth distance
     VALIDATION = 4     # symmetry check of a continuous evaluator
     PRODUCT_CHECK = 5  # sampled count vectors of the product-formula check
     FEASIBILITY = 6    # pattern feasibility probe of a regime sweep
-    QPROB = 7          # pattern probability of the variance check
+    QPROB = 7          # pattern probability of the variance check: block j of tuples
     VARBOOT = 8        # count moment bootstrap: slot 0 variance check, i + 1 sweep
     VARCHECK = 9       # variance-check replicate j at sample size n (slot n)
-    GK_OUTER = 10      # outer samples of the projection-contraction estimate
-    GK_INNER_A = 11    # first inner copy of the projection-contraction estimate
-    GK_INNER_B = 12    # second inner copy of the projection-contraction estimate
+    GK = 10            # row j of the projection-contraction estimate
 
 
 def _check_key(seed: int, purpose: Purpose, slot: int, j: int) -> None:
@@ -72,16 +70,14 @@ def _check_key(seed: int, purpose: Purpose, slot: int, j: int) -> None:
                              f"slot {slot}, j {j}")
 
 
-def stream(seed: int, purpose: Purpose, slot: int = 0, j: int = 0, *,
-           _checked: bool = True) -> np.random.Generator:
+def stream(seed: int, purpose: Purpose, slot: int = 0, j: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, purpose << 56 | slot << 32 | j).
 
     Raises ParameterError when a field is out of range, so the key is
-    injective.  ``_replicates`` checks its whole index range once, builds
-    stream 0 of its slot and re-keys that generator for each replicate j.
+    injective.  ``_replicates`` builds stream 0 of its slot and re-keys that
+    generator for each replicate j.
     """
-    if _checked:
-        _check_key(seed, purpose, slot, j)
+    _check_key(seed, purpose, slot, j)
     key = np.array([seed, purpose << 56 | slot << 32 | j], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -100,7 +96,7 @@ def _replicates(out: np.ndarray, draw: Callable[[np.random.Generator], object],
     """Fill ``out[j] = draw(stream(seed, purpose, slot, j))`` for every row j of ``out``.
 
     Replicate j reads only its own stream, so the values do not depend on the
-    order in which replicates run; the key range is checked once per call.
+    order in which replicates run; the top index is checked before any runs.
     One generator serves every replicate of a call: before replicate j it is
     re-keyed to stream j and rewound to that stream's start, so ``draw`` must
     not keep the generator after it returns.
@@ -119,7 +115,7 @@ def _replicates(out: np.ndarray, draw: Callable[[np.random.Generator], object],
     # building a Philox generator costs several cheap draws; assigning a state
     # sets the counter, the buffer and the spare 32-bit word along with the
     # key, so stream 0's pristine state with j OR-ed into key[1] is stream j's
-    rng = stream(seed, purpose, slot, 0, _checked=False)
+    rng = stream(seed, purpose, slot)
     bits = rng.bit_generator
     state = bits.state
     key = state["state"]["key"]
@@ -160,6 +156,17 @@ def _replicates(out: np.ndarray, draw: Callable[[np.random.Generator], object],
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return out
+
+
+def _block_rows(total: int, size: int, draw: Callable[[np.random.Generator, int], object],
+                seed: int, purpose: Purpose) -> np.ndarray:
+    """The first ``total`` values of ceil(total / size) equal replicate rows:
+    row j is ``draw(rng, cols)`` on stream (seed, purpose, 0, j), with
+    cols <= size the fewest columns that hold ``total``."""
+    rows = -(-total // size)
+    cols = -(-total // rows)
+    return _replicates(np.empty((rows, cols)), lambda rng: draw(rng, cols),
+                       seed, purpose).ravel()[:total]
 
 
 def _fork_block(fill: Callable[[int, int], None], out: np.ndarray, lo: int, hi: int):
@@ -341,6 +348,8 @@ def wasserstein_to_normal(rep: ReplicateSet, bootstrap: int = 200) -> DistanceEs
         raise CapacityError(
             f"distance estimation needs >= {MIN_REPLICATES_FOR_DISTANCE} replicates, got {r}"
         )
+    if bootstrap < 2:
+        raise ParameterError(f"bootstrap needs at least 2 resamples, got {bootstrap}")
     idx = stream(rep.seed, Purpose.BOOTSTRAP, rep.slot).integers(0, r, size=(bootstrap, r))
     boots = coupling_distance(rep.values[idx])
     return DistanceEstimate(value=float(coupling_distance(rep.values)),
@@ -355,17 +364,19 @@ def coupling_bias(r: int, standardized: bool = True, seed: int = 0,
     This is the estimator's noise floor; subtracting it (in quadrature)
     recovers distances below the raw bias level.  ``standardized`` matches the
     empirical-normalization pipeline, which rescales each sample by its own
-    mean and standard deviation before coupling.
+    mean and standard deviation before coupling.  Sample j reads the stream
+    (seed, CALIBRATION, 0, j).
     """
-    g = stream(seed, Purpose.CALIBRATION)
-    total = 0.0
-    block = max(1, min(draws, 2_000_000 // max(r, 1)))
-    for done in range(0, draws, block):
-        x = g.standard_normal((min(block, draws - done), r))
+    if draws < 1:
+        raise ParameterError(f"draws needs at least 1 sample, got {draws}")
+
+    def distance(rng):
+        x = rng.standard_normal(r)
         if standardized:
-            x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, ddof=1, keepdims=True)
-        total += float(np.sum(coupling_distance(x)))
-    return total / draws
+            x = (x - x.mean()) / x.std(ddof=1)
+        return coupling_distance(x)
+
+    return float(_replicates(np.empty(draws), distance, seed, Purpose.CALIBRATION).mean())
 
 
 def debiased_distance(value: float, floor: float) -> float:

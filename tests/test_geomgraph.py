@@ -20,7 +20,7 @@ from ustatkit import (
 from ustatkit import geomgraph, montecarlo
 from ustatkit.errors import CapacityError, ParameterError, PreconditionError
 from ustatkit.geomgraph import _unique_rows, pattern_indicator, regime_targets
-from ustatkit.montecarlo import ols_loglog
+from ustatkit.montecarlo import Purpose, ols_loglog
 
 from helpers import brute_codes, brute_subgraph_count
 
@@ -358,6 +358,11 @@ class TestRegimeExperiment:
             regime_experiment(EDGE, DensityModel("gaussian", 2), sched2,
                               [64, 128, 256, 512], 100, seed=0)
 
+    def test_rejects_a_single_bootstrap_resample(self):
+        with pytest.raises(ParameterError, match="bootstrap"):
+            regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), [64, 128, 256, 512],
+                              100, seed=0, bootstrap=1)
+
     def test_report_is_reproducible(self):
         sched = RadiusSchedule("C4", rho=1.0)
         a = regime_experiment(EDGE, BOX2, sched, [64, 128, 256, 512], 120, seed=5)
@@ -400,21 +405,30 @@ def philox_keys(monkeypatch, replicate_workers):
     return keys
 
 
+def _row_keys(seed, purpose, rows):
+    """Keys of rows 0 .. rows - 1 of a one-slot replicate loop."""
+    return {(seed, purpose << 56 | j) for j in range(rows)}
+
+
 class TestStreamKeys:
     def test_sweep_bootstrap_misses_gk_streams(self, philox_keys):
         # 101 sample sizes reach sweep index 100
         regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), list(range(20, 121)),
                           100, seed=3)
         gk_contraction_mc(EDGE, BOX2, 0.3, 1, 1, 1, 1, 10_000, seed=3, inner=4)
+        variance_lower_bound_check(EDGE, BOX2, 0.1, 2, 100, seed=3, q_samples=100_001)
         assert len(philox_keys) >= 101 * 100
+        assert _row_keys(3, Purpose.GK, 40) | _row_keys(3, Purpose.QPROB, 3) <= set(philox_keys)
         assert len(philox_keys) == len(set(philox_keys))
 
     def test_variance_check_misses_sweep_streams(self, philox_keys):
         # the check at n = 2 against sweep index 1
         regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), [64, 128, 256, 512],
                           100, seed=5)
-        variance_lower_bound_check(EDGE, BOX2, 0.1, 2, 100, seed=5, q_samples=1000)
+        variance_lower_bound_check(EDGE, BOX2, 0.1, 2, 100, seed=5, q_samples=100_001)
+        gk_contraction_mc(EDGE, BOX2, 0.3, 1, 1, 1, 1, 10_000, seed=5, inner=4)
         assert len(philox_keys) >= 4 * 100 + 100
+        assert _row_keys(5, Purpose.GK, 40) | _row_keys(5, Purpose.QPROB, 3) <= set(philox_keys)
         assert len(philox_keys) == len(set(philox_keys))
 
 
@@ -441,6 +455,16 @@ class TestVarianceLowerBound:
         with pytest.raises(ParameterError):
             variance_lower_bound_check(EDGE, DensityModel("gaussian", 2), 0.1, 50, 200, seed=0)
 
+    @pytest.mark.parametrize("q_samples", [-5, 0])
+    def test_rejects_no_probability_tuples(self, q_samples):
+        with pytest.raises(ParameterError, match="q_samples"):
+            variance_lower_bound_check(EDGE, BOX2, 0.1, 50, 200, seed=0, q_samples=q_samples)
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_rejects_fewer_than_two_replicates(self, reps):
+        with pytest.raises(ParameterError, match="reps"):
+            variance_lower_bound_check(EDGE, BOX2, 0.1, 50, reps, seed=0)
+
 
 class TestGkContractionMc:
     def test_tensor_product_identity(self):
@@ -461,6 +485,11 @@ class TestGkContractionMc:
             gk_contraction_mc(EDGE, BOX2, 0.2, 2, 2, 1, 2, 10000, seed=0)
         with pytest.raises(ParameterError):
             gk_contraction_mc(EDGE, BOX2, 0.2, 2, 2, 1, 1, 100, seed=0)
+
+    @pytest.mark.parametrize("inner", [0, -3])
+    def test_rejects_no_inner_draws(self, inner):
+        with pytest.raises(ParameterError, match="inner"):
+            gk_contraction_mc(EDGE, BOX2, 0.2, 2, 2, 1, 1, 10_000, seed=0, inner=inner)
 
     def test_chunks_bound_peak_memory(self):
         tracemalloc.start()

@@ -24,6 +24,7 @@ from ustatkit.errors import CapacityError, ConfigurationError, ParameterError, P
 from ustatkit.geomgraph import (
     DensityModel,
     RadiusSchedule,
+    gk_contraction_mc,
     named_pattern,
     regime_experiment,
     variance_lower_bound_check,
@@ -32,6 +33,7 @@ from ustatkit.montecarlo import (
     NormalizationRecord,
     Purpose,
     ReplicateSet,
+    _block_rows,
     _replicates,
     coupling_bias,
     coupling_distance,
@@ -172,7 +174,7 @@ class _SparseRows:
 
 
 class TestRekey:
-    KEYS = ((7, Purpose.REPLICATE, 3), (2**64 - 1, Purpose.GK_INNER_B, 2**24 - 1))
+    KEYS = ((7, Purpose.REPLICATE, 3), (2**64 - 1, Purpose.GK, 2**24 - 1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("seed, purpose, slot", KEYS)
@@ -257,6 +259,25 @@ class TestReplicateWorkers:
             serial, forked = self._both(replicate_workers, run)
             assert serial == forked
 
+    def test_block_estimates_match_at_one_two_and_three_workers(self, replicate_workers):
+        # ragged totals: the last row is cut
+        edge, box = named_pattern("edge"), DensityModel("uniform-box", 2)
+        runs = (
+            lambda: repr(gk_contraction_mc(edge, box, 0.2, 2, 2, 1, 1, 10_001, seed=4,
+                                           inner=8)),
+            lambda: repr(variance_lower_bound_check(edge, box, 0.1, 64, 100, seed=5,
+                                                    q_samples=120_001)),
+            lambda: repr(coupling_bias.__wrapped__(300, seed=6)),
+            lambda: repr(regime_experiment(edge, box, RadiusSchedule("C4", rho=1.0),
+                                           [64, 128, 256, 512], 100, seed=3).to_dict()),
+        )
+        for run in runs:
+            found = []
+            for workers in (1, 2, 3):
+                replicate_workers(workers)
+                found.append(run())
+            assert found[0] == found[1] == found[2]
+
     def test_child_error_is_reraised(self, replicate_workers):
         replicate_workers(2)
         with pytest.raises(ZeroDivisionError, match="^replicate 7$"):
@@ -297,6 +318,26 @@ class TestReplicateWorkers:
             other.join(timeout=30.0)
         assert not other.is_alive()
         assert set(pids) == {os.getpid()}
+
+
+@pytest.mark.parametrize("total, size", [
+    (1, 1), (1, 50), (7, 7), (8, 7), (99, 1000), (1000, 3), (10_001, 256), (120_001, 50_000),
+])
+def test_block_rows_cut_the_total_into_equal_rows(replicate_workers, total, size):
+    replicate_workers(1)
+    cols = []
+
+    def draw(rng, c):
+        cols.append(c)
+        return np.full(c, _index(rng))
+
+    out = _block_rows(total, size, draw, 1, Purpose.QPROB)
+    rows, c = len(cols), cols[0]
+    assert set(cols) == {c}
+    assert rows == math.ceil(total / size)
+    assert rows * c >= total and c <= size
+    assert rows * c - total < rows
+    assert out.tobytes() == np.repeat(np.arange(rows, dtype=float), c)[:total].tobytes()
 
 
 class TestSimulate:
@@ -419,10 +460,19 @@ class TestWasserstein:
         with pytest.raises(CapacityError):
             wasserstein_to_normal(rep)
 
+    @pytest.mark.parametrize("bootstrap", [0, 1])
+    def test_requires_two_bootstrap_resamples(self, bootstrap):
+        with pytest.raises(ParameterError, match="bootstrap"):
+            wasserstein_to_normal(_normal_repset(200), bootstrap=bootstrap)
+
     def test_coupling_bias_decreases_with_replicates(self):
         small = coupling_bias(500, standardized=True, draws=100)
         large = coupling_bias(5000, standardized=True, draws=100)
         assert 0.0 < large < small
+
+    def test_coupling_bias_needs_a_draw(self):
+        with pytest.raises(ParameterError, match="draws"):
+            coupling_bias(300, draws=0)
 
     def test_debias_recovers_signal(self):
         assert debiased_distance(0.05, 0.03) == pytest.approx(0.04)
