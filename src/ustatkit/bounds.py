@@ -6,10 +6,14 @@ constant is ever guessed.  The norms of a kernel pair come from one
 `contractions._contraction_table`, the sums run over `product._overlaps`, the
 aggregates that keep every contraction share one `_full_terms`, and the
 bounds that keep only the diagonal contractions share one
-`_diagonal_l4_split`.  The order-dependent constants kappa_p of the
-underlying exchangeable-pair argument are configuration inputs (default 1.0,
-flagged), and each report keeps the kappa contribution as a separate term so
-results stay interpretable under any choice.
+`_diagonal_l4_split`.  The general bound is the A1/A2 aggregate
+`contraction_aggregates` read on the Hoeffding levels of the kernel; the
+projection contractions of the geometric application are a separate quantity,
+`projection_contraction_bound`, that no bound reads.  The order-dependent
+constants kappa_p of the underlying exchangeable-pair argument are
+configuration inputs (default 1.0, flagged), and each report keeps the kappa
+contribution as a separate term so results stay interpretable under any
+choice.
 
 All totals are scale-invariant in the kernel: contraction terms are
 homogeneous ratios and kappa terms are kernel-free (the multivariate bound
@@ -108,9 +112,8 @@ class BoundReport:
             raise ContractViolationError("report total does not match its terms")
 
 
-def _report(terms: dict, extras: dict, mode: str = "exact-finite-n") -> BoundReport:
-    return BoundReport(total=float(sum(terms.values())), terms=terms,
-                       constant_mode=mode, extras=extras)
+def _report(terms: dict, extras: dict) -> BoundReport:
+    return BoundReport(total=float(sum(terms.values())), terms=terms, extras=extras)
 
 
 def _diagonal_l4_split(n: int, i: int, k: int, diag_norm):
@@ -144,10 +147,23 @@ def _full_terms(n: int, i: int, k: int, table: dict) -> dict:
             for t in range(1, i + k) for r in _overlaps(t, i, k)}
 
 
-def _projection_max(table: dict, s: int, l: int) -> float:
-    # max ||g_i *_r^t g_k|| over 0 <= t <= r <= s, t <= l, r - t <= s - l
-    return max(table[(r, t)].l2_norm for r in range(0, s + 1) for t in range(0, r + 1)
-               if t <= l and r - t <= s - l)
+def _envelope(n: int, p: int, i: int, k: int, table: dict, l4: float) -> float:
+    """The smaller of the largest n-power envelope terms of the A1 and A2
+    aggregates of levels (i, k) in an order-p statistic, before the division
+    by the variance.
+
+    ``table`` holds the contractions of the level pair and ``l4`` the product
+    of their L4 norms.
+    """
+    one = max(float(n) ** (2 * p - (i + k + 2 * r - t) / 2.0) * table[(r, t - r)].l2_norm
+              for t in range(1, i + k) for r in _overlaps(t, i, k))
+    two = l4 * float(n) ** (2 * p - (i + k + 1) / 2.0)
+    if i + k > 2:
+        s_cap = min(math.ceil((i + k) / 2) - 1, i, k)
+        diag = max(table[(s, s)].l2_norm for s in range(1, s_cap + 1))
+        two += (diag * float(n) ** (2 * p - (i + k) / 2.0)
+                + l4 * float(n) ** (2 * p - 1 - (i + k) / 2.0))
+    return min(one, two)
 
 
 def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
@@ -384,20 +400,22 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
 
 def projection_contraction_bound(hs: HoeffdingSet, mu: DiscreteMeasure,
                                  i: int, k: int, s: int, l: int) -> float:
-    """Largest admissible projection-contraction norm dominating a level contraction.
+    """The paper's projection-contraction quantity of levels (i, k) at (s, l).
 
     Evaluates ``max ||g_i *_r^t g_k||`` over the index set
-    ``{(r, t): 0 <= t <= r <= s, t <= l, r - t <= s - l}``.  Up to an
-    (i, k, s, l)-dependent constant this dominates the corresponding
-    contraction of the degenerate level kernels; the constant itself is never
-    needed because all rate conclusions are constant-free.
+    ``{(r, t): 0 <= t <= r <= s, t <= l, r - t <= s - l}``.  The geometric
+    application uses it in place of the level contraction
+    ``||psi_i *_s^l psi_k||``, which it dominates only up to an
+    (i, k, s, l)-dependent constant; no bound here reads it.
     """
     p = hs.order
     if not (1 <= i <= p and 1 <= k <= p):
         raise ParameterError(f"levels must lie in [1, {p}], got i={i}, k={k}")
     if not (0 <= l <= s <= min(i, k)):
         raise ParameterError(f"need 0 <= l <= s <= min(i, k), got s={s}, l={l}")
-    return _projection_max(_contraction_table(hs.g_kernel(i), hs.g_kernel(k), mu), s, l)
+    table = _contraction_table(hs.g_kernel(i), hs.g_kernel(k), mu)
+    return max(table[(r, t)].l2_norm for r in range(0, s + 1) for t in range(0, r + 1)
+               if t <= l and r - t <= s - l)
 
 
 def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
@@ -406,13 +424,13 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                   variant: str = "B") -> BoundReport:
     """Smooth-test-function bound for a general (non-degenerate) U-statistic.
 
-    The statistic is centered and studied through its normalized decomposition
-    levels; the sum of squared level norms is verified to be 1.  Every level
-    contraction is dominated by projection-function contractions (empirical
-    constant 1, recorded in ``constant_mode``), while all binomial prefactors
-    are exact.  ``variant`` selects the per-level aggregate: "B" keeps the
-    full finite-n ratio sums, "B'" collapses each aggregate to its largest
-    n-power envelope term.
+    The statistic is centered and studied through the Hoeffding levels psi_s
+    of one `decompose`; the sum of squared normalized level norms is verified
+    to be 1.  Cell (i, k) reads the exact contractions of the level pair
+    (psi_i, psi_k), so no constant is left implicit.  ``variant`` selects the
+    per-cell aggregate: "B" is the smaller of the A1/A2 aggregates of
+    `contraction_aggregates` times the exact finite-n level prefactor, "B'"
+    collapses each aggregate to its largest n-power envelope term.
     """
     kappa = kappa or KappaConfig()
     if variant not in ("B", "B'"):
@@ -426,85 +444,29 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
         raise PreconditionError("statistic must have positive variance")
     sigma = math.sqrt(var_n)
 
-    level_l2 = [0.0] * (p + 1)
     unit_norms = [0.0] * (p + 1)  # L2 norms of the normalized level kernels
     for s in range(1, p + 1):
-        level_l2[s] = lp_norm(hs.psi_kernel(s), mu, 2.0)
-        unit_norms[s] = math.sqrt(binom(n, s)) * binom(n - s, p - s) * level_l2[s] / sigma
+        unit_norms[s] = (math.sqrt(binom(n, s)) * binom(n - s, p - s)
+                         * lp_norm(hs.psi_kernel(s), mu, 2.0) / sigma)
     total = sum(v * v for v in unit_norms[1:])
     if abs(total - 1.0) > 1e-9:
         raise ContractViolationError(
             f"normalized level norms must have unit square sum, got {total!r}"
         )
 
-    def prefac(i: int, k: int) -> float:
-        return (
-            math.sqrt(binom(n, i)) * binom(n - i, p - i)
-            * math.sqrt(binom(n, k)) * binom(n - k, p - k) / (sigma**2)
-        )
-
-    # one table of centred projection contractions per level pair i <= k
-    tables = {(i, k): _contraction_table(hs._kernel("c", i), hs._kernel("c", k), mu)
-              for i in range(1, p + 1) for k in range(i, p + 1)}
-
-    def g_diag(i: int, k: int, s: int) -> float:
-        return max(tables[(i, k)][(t, t)].l2_norm for t in range(0, s + 1))
-
-    def g0max(i: int) -> float:
-        return max(tables[(i, i)][(r, 0)].l2_norm for r in range(0, i + 1))
-
-    def admissible(i: int, k: int):
-        # the (s, l) of the level contractions of orders (i, k)
-        return [(s, l) for s in range(1, min(i, k) + 1)
-                for l in range(0, min(i + k - s - 1, s) + 1)]
-
-    def b_one(i: int, k: int) -> float:
-        out = 0.0
-        for s, l in admissible(i, k):
-            out += (
-                prefactor_ratio(n, i, k, l + s, s)
-                * prefac(i, k)
-                * _projection_max(tables[(i, k)], s, l)
-            )
-        return out
-
-    def b_two(i: int, k: int) -> float:
-        l4ish = math.sqrt(g0max(i) * g0max(k))
-        diag, l4_sum = _diagonal_l4_split(n, i, k, lambda s: g_diag(i, k, s))
-        pf = prefac(i, k)
-        return pf * diag + pf * l4ish * l4_sum
-
-    def b_one_env(i: int, k: int) -> float:
-        out = 0.0
-        for s, l in admissible(i, k):
-            out = max(
-                out,
-                float(n) ** (2 * p - (i + k + s - l) / 2.0) / sigma**2
-                * _projection_max(tables[(i, k)], s, l),
-            )
-        return out
-
-    def b_two_env(i: int, k: int) -> float:
-        pf_env = 1.0 / sigma**2
-        l4ish = math.sqrt(g0max(i) * g0max(k))
-        out = 0.0
-        if i + k > 2:
-            s_cap = min(math.ceil((i + k) / 2) - 1, i, k)
-            diag = max((g_diag(i, k, s) for s in range(1, s_cap + 1)), default=0.0)
-            out += diag * float(n) ** (2 * p - (i + k) / 2.0) * pf_env
-            out += l4ish * float(n) ** (2 * p - 1 - (i + k) / 2.0) * pf_env
-        out += l4ish * float(n) ** (2 * p - (i + k + 1) / 2.0) * pf_env
-        return out
-
-    if variant == "B":
-        b_fns = (b_one, b_two)
-    else:
-        b_fns = (b_one_env, b_two_env)
-    # both aggregates bound the same quantity; use their minimum per cell
     b = np.zeros((p + 1, p + 1))
     for i in range(1, p + 1):
         for k in range(i, p + 1):
-            b[i, k] = b[k, i] = min(b_fns[0](i, k), b_fns[1](i, k))
+            psi_i, psi_k = hs.psi_kernel(i), hs.psi_kernel(k)
+            if variant == "B":
+                # both aggregates bound the same quantity; use their minimum
+                prefac = (math.sqrt(binom(n, i)) * binom(n - i, p - i)
+                          * math.sqrt(binom(n, k)) * binom(n - k, p - k) / var_n)
+                cell = prefac * min(contraction_aggregates(psi_i, psi_k, mu, n))
+            else:
+                l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
+                cell = _envelope(n, p, i, k, _contraction_table(psi_i, psi_k, mu), l4) / var_n
+            b[i, k] = b[k, i] = cell
 
     t1 = math.sqrt(p) / 4.0 * profile.m2 * sum(
         (i + k) * b[i, k] for i in range(1, p + 1) for k in range(1, p + 1)
@@ -527,5 +489,4 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
             "level_norms": unit_norms[1:],
             "kappa_provenance": {i: kap_info[i][1] for i in kap_info},
         },
-        mode="empirical-g-constants",
     )

@@ -315,9 +315,15 @@ def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
     return ReplicateSet(values=(raw - mean) / sd, n=n, seed=seed, normalization=rec)
 
 
+@functools.lru_cache(maxsize=16)
 def normal_quantile_grid(r: int) -> np.ndarray:
-    """Standard normal quantiles at the midpoint grid (j - 1/2) / r."""
-    return ndtri((np.arange(1, r + 1) - 0.5) / r)
+    """Standard normal quantiles at the midpoint grid (j - 1/2) / r.
+
+    The grid is built once per r and returned read-only.
+    """
+    grid = ndtri((np.arange(1, r + 1) - 0.5) / r)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -400,7 +406,8 @@ def fit_distance_powerlaw(ns: Sequence[float], dws: Sequence[float],
     at or below the floor well-behaved (no logs of noise-dominated
     differences).  Weights follow the delta method on the squared values.
     Returns the fitted exponent, amplitude, and an exponent standard error
-    from the weighted jacobian.
+    from the weighted jacobian; all three are NaN when no distance exceeds
+    the floor, since the model then has no signal to fit.
     """
     from scipy.optimize import least_squares
 
@@ -413,6 +420,8 @@ def fit_distance_powerlaw(ns: Sequence[float], dws: Sequence[float],
         raise ParameterError("floor-aware fitting needs at least 3 points")
     if np.any(x <= 0) or np.any(y < 0):
         raise ParameterError("sample sizes must be positive and distances non-negative")
+    if not np.any(y > floor):
+        return FloorAwareFit(slope=math.nan, amplitude=math.nan, stderr=math.nan)
     w = 2.0 * np.maximum(y, floor) * np.maximum(se, 1e-6)
 
     def residuals(theta):

@@ -67,6 +67,32 @@ def ustat_direct(kernel, x, num=float):
     return total
 
 
+def count_vectors(m, n):
+    """Every vector of m non-negative symbol counts summing to n (stars and bars)."""
+    for cuts in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1, *cuts, n + m - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def exact_law(kernel, mu, n):
+    """Atoms and weights of the law of the U-statistic of an i.i.d. mu sample of size n.
+
+    The statistic depends on the sample only through its symbol counts, so
+    there is one atom per count vector, C(n+m-1, m-1) in all: `ustat_direct`
+    on one sample with those counts, weighted by the multinomial probability
+    of the counts.
+    """
+    atoms, weights = [], []
+    for counts in count_vectors(mu.alphabet_size, n):
+        sample = [sym for sym, c in enumerate(counts) for _ in range(c)]
+        atoms.append(ustat_direct(kernel, sample))
+        coef = math.factorial(n)
+        for c in counts:
+            coef //= math.factorial(c)
+        weights.append(coef * math.prod(float(w) ** c for w, c in zip(mu.weights, counts)))
+    return np.array(atoms), np.array(weights)
+
+
 def exhaustive_mean(fn, m, n, mu):
     """E[fn(X)] by full enumeration of the sample space."""
     return sum(sample_prob(x, mu) * fn(x) for x in all_samples(m, n))

@@ -18,12 +18,13 @@ from ustatkit import (
     decompose,
     projection_contraction_bound,
     lp_norm,
+    variance,
 )
 from ustatkit.bounds import KAPPA_COEF, W1_COEF
 from ustatkit.errors import ParameterError, PreconditionError
 from ustatkit.product import prefactor_ratio
 
-from helpers import random_degenerate, random_kernel, random_measure
+from helpers import exact_law, random_degenerate, random_kernel, random_measure
 
 PROFILE = TestFunctionProfile(m1=1.0, m2=1.0, m3=1.0)
 
@@ -430,6 +431,47 @@ class TestBoundGeneral:
         rep = bound_general(k, mu, n, PROFILE)
         assert sum(v * v for v in rep.extras["level_norms"]) == pytest.approx(1.0, abs=1e-9)
         assert math.isfinite(rep.total)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_degenerate_input_reduces_to_the_one_dimensional_aggregate(self, p):
+        # one active level: the only cell is min(A1, A2) of the kernel with
+        # itself over its squared norm, which the degenerate bounds also read
+        rng = np.random.default_rng(87 + p)
+        mu = random_measure(rng, 3)
+        psi = random_degenerate(rng, p, 3, mu)
+        rep = bound_general(psi, mu, 30, PROFILE)
+        b1, b2 = bound_degenerate_1d(psi, mu, 30)
+        a = min(b1.terms["contraction"],
+                b2.terms["contraction"] + b2.terms["fourth_moment"]) / W1_COEF
+        assert rep.terms["second_order"] == pytest.approx(
+            math.sqrt(p) / 4.0 * 2 * p * a, rel=1e-12)
+        assert rep.terms["third_order"] == pytest.approx(
+            2.0 * math.sqrt(p) / 9.0 * p * a, rel=1e-12)
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("n", [12, 20])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_general_bounds_dominate_the_smooth_gap(self, p, n):
+        # |E h(W) - E h(Z)| for h = sin and cos (profile (1, 1, 1)) under the
+        # exact law of the standardized statistic W
+        rng = np.random.default_rng(10 * p + n)
+        mu = random_measure(rng, 3)
+        k = random_kernel(rng, p, 3)
+        atoms, weights = exact_law(k, mu, n)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        mean = float(weights @ atoms)
+        var = float(weights @ (atoms - mean) ** 2)
+        assert mean == pytest.approx(math.comb(n, p) * float(decompose(k, mu).g[0]),
+                                     rel=1e-9, abs=1e-9)
+        assert var == pytest.approx(variance(k, mu, n)[0], rel=1e-9)
+        w = (atoms - mean) / math.sqrt(var)
+        gap = max(abs(float(weights @ np.sin(w))),
+                  abs(float(weights @ np.cos(w)) - math.exp(-0.5)))
+        for variant in ("B", "B'"):
+            rep = bound_general(k, mu, n, PROFILE, variant=variant)
+            assert rep.constant_mode == "exact-finite-n"
+            assert rep.total >= gap
 
 
 class TestOrderDominance:

@@ -161,6 +161,7 @@ class TestBound:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["total"] > 0
+        assert doc["result"]["constant_mode"] == "exact-finite-n"
 
 
 FIELD_ARGVS = [

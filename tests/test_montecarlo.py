@@ -38,6 +38,7 @@ from ustatkit.montecarlo import (
     coupling_bias,
     coupling_distance,
     debiased_distance,
+    fit_distance_powerlaw,
     normal_quantile_grid,
     stream,
 )
@@ -474,6 +475,20 @@ class TestWasserstein:
         with pytest.raises(ParameterError, match="draws"):
             coupling_bias(300, draws=0)
 
+    def test_coupling_bias_builds_its_grid_once(self, monkeypatch, replicate_workers):
+        calls = []
+        real = montecarlo.ndtri
+        monkeypatch.setattr(montecarlo, "ndtri", lambda q: calls.append(q.size) or real(q))
+        normal_quantile_grid.cache_clear()
+        replicate_workers(1)
+        coupling_bias.__wrapped__(263, seed=8)
+        assert calls == [263]
+
+    def test_quantile_grid_is_shared_read_only(self):
+        grid = normal_quantile_grid(300)
+        assert normal_quantile_grid(300) is grid and not grid.flags.writeable
+        assert grid.tobytes() == montecarlo.ndtri((np.arange(1, 301) - 0.5) / 300).tobytes()
+
     def test_debias_recovers_signal(self):
         assert debiased_distance(0.05, 0.03) == pytest.approx(0.04)
         assert debiased_distance(0.02, 0.03) == 0.0
@@ -502,6 +517,25 @@ class TestSmoothDistance:
             # smooth odd test function; its normal mean is exactly 0
             gaps.append(smooth_distance(rep, np.tanh, 10, seed=0, exact_mean=0.0))
         assert gaps[2] < gaps[0]
+
+
+class TestFloorAwareFit:
+    NS = [64.0, 128.0, 256.0, 512.0]
+
+    def test_recovers_the_exponent_above_the_floor(self):
+        ns = np.array(self.NS)
+        dws = np.sqrt((2.0 * ns**-0.5) ** 2 + 0.02**2)
+        fit = fit_distance_powerlaw(ns, dws, [0.005] * 4, 0.02)
+        assert fit.slope == pytest.approx(-0.5, abs=1e-6)
+        assert fit.amplitude == pytest.approx(2.0, rel=1e-5)
+
+    def test_no_distance_above_the_floor_gives_no_fit(self):
+        # every raw distance is noise: there is no exponent to report
+        fit = fit_distance_powerlaw(self.NS, [0.050, 0.066, 0.058, 0.074],
+                                    [0.01] * 4, 0.074)
+        assert math.isnan(fit.slope)
+        assert math.isnan(fit.amplitude)
+        assert math.isnan(fit.stderr)
 
 
 class TestRateFit:
