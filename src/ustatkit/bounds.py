@@ -6,13 +6,16 @@ constant is ever guessed.  The norms of a kernel pair come from one
 `contractions._contraction_table`, the sums run over `product._overlaps`, the
 aggregates that keep every contraction share one `_full_terms`, and the
 bounds that keep only the diagonal contractions share one
-`_diagonal_l4_split`.  The general bound is the A1/A2 aggregate
-`contraction_aggregates` read on the Hoeffding levels of the kernel; the
-projection contractions of the geometric application are a separate quantity,
-`projection_contraction_bound`, that no bound reads.  The order-dependent
-constants kappa_p of the underlying exchangeable-pair argument are
-configuration inputs (default 1.0, flagged), and each report keeps the kappa
-contribution as a separate term so results stay interpretable under any
+`_diagonal_l4_split`.  The contraction inequality (check iv of
+`verify_contraction_inequalities`) makes each term of the A1 aggregate at most
+the matching term of A2, so A1 <= A2 and b1 <= b2: the dominant, general-B
+and multivariate bounds read A1, and b2 and A2 remain reported quantities.
+The general bound reads `contraction_aggregates` on the Hoeffding levels of
+the kernel; the projection contractions of the geometric application are a
+separate quantity, `projection_contraction_bound`, that no bound reads.  The
+order-dependent constants kappa_p of the underlying exchangeable-pair argument
+are configuration inputs (default 1.0, flagged), and each report keeps the
+kappa contribution as a separate term so results stay interpretable under any
 choice.
 
 All totals are scale-invariant in the kernel: contraction terms are
@@ -262,10 +265,8 @@ def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     norms = [lp_norm(hs.psi_kernel(s), mu, 2.0) if s >= 1 else 0.0
              for s in range(p + 1)]
 
-    b1, b2 = bound_degenerate_1d(hs.psi_kernel(m), mu, n, kappa)
-    # at rank 1 both totals are the same number, so round-off must not choose
-    y = b1 if b1.total <= b2.total * (1.0 + 1e-12) else b2
-    variant = "b1" if y is b1 else "b2"
+    # b1 <= b2 term by term, so the rank-m bound is b1
+    y, _ = bound_degenerate_1d(hs.psi_kernel(m), mu, n, kappa)
 
     remainder = 0.0
     remainder_free = 0.0
@@ -283,7 +284,6 @@ def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     terms["residual"] = remainder
     extras = {
         "rank": m,
-        "degenerate_variant": variant,
         "remainder_kernel_free": remainder_free,
         "level_norms": norms[1:],
         "kappa_provenance": y.extras["kappa_provenance"],
@@ -318,8 +318,7 @@ def contraction_aggregates(psi_i: SymmetricKernel, psi_k: SymmetricKernel,
 
 def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
                        n: int, profile: TestFunctionProfile,
-                       kappa: Optional[KappaConfig] = None, mode: str = "C3",
-                       a_variant: int = 1) -> BoundReport:
+                       kappa: Optional[KappaConfig] = None, mode: str = "C3") -> BoundReport:
     """Multivariate normal-approximation bound for a vector of degenerate kernels.
 
     Kernel orders must be nondecreasing.  The vector is rescaled to unit total
@@ -333,8 +332,6 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
     kappa = kappa or KappaConfig()
     if mode not in ("C3", "C2"):
         raise ParameterError(f"mode must be 'C3' or 'C2', got {mode!r}")
-    if a_variant not in (1, 2):
-        raise ParameterError("a_variant must be 1 or 2")
     d = len(kernels)
     if d == 0:
         raise ParameterError("kernel list must be non-empty")
@@ -354,8 +351,7 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
     a = np.zeros((d, d))
     for i in range(d):
         for k in range(i, d):
-            pair = contraction_aggregates(scaled[i], scaled[k], mu, n)
-            a[i, k] = a[k, i] = pair[a_variant - 1]
+            a[i, k] = a[k, i] = contraction_aggregates(scaled[i], scaled[k], mu, n)[0]
 
     cov = np.zeros((d, d))
     for i in range(d):
@@ -389,7 +385,6 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
         terms={"cross_term": t1, "diagonal_term": t2, "kappa": t3},
         extras={
             "mode": mode,
-            "a_variant": a_variant,
             "applied_scale": scale,
             "sigma": sigma,
             "covariance_eigenvalues": eigvals.tolist(),
@@ -428,8 +423,8 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     of one `decompose`; the sum of squared normalized level norms is verified
     to be 1.  Cell (i, k) reads the exact contractions of the level pair
     (psi_i, psi_k), so no constant is left implicit.  ``variant`` selects the
-    per-cell aggregate: "B" is the smaller of the A1/A2 aggregates of
-    `contraction_aggregates` times the exact finite-n level prefactor, "B'"
+    per-cell aggregate: "B" is the A1 aggregate of `contraction_aggregates`
+    (at most A2 term by term) times the exact finite-n level prefactor, "B'"
     collapses each aggregate to its largest n-power envelope term.
     """
     kappa = kappa or KappaConfig()
@@ -459,10 +454,9 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
         for k in range(i, p + 1):
             psi_i, psi_k = hs.psi_kernel(i), hs.psi_kernel(k)
             if variant == "B":
-                # both aggregates bound the same quantity; use their minimum
                 prefac = (math.sqrt(binom(n, i)) * binom(n - i, p - i)
                           * math.sqrt(binom(n, k)) * binom(n - k, p - k) / var_n)
-                cell = prefac * min(contraction_aggregates(psi_i, psi_k, mu, n))
+                cell = prefac * contraction_aggregates(psi_i, psi_k, mu, n)[0]
             else:
                 l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
                 cell = _envelope(n, p, i, k, _contraction_table(psi_i, psi_k, mu), l4) / var_n

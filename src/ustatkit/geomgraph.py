@@ -7,10 +7,10 @@ Counting is exact: a sliding-midpoint KD-tree lists the pairs within the
 radius once (edge counts of points on a line come from sorting instead), the
 strict predicate keeps the edges, and for p >= 3 the connected induced vertex
 sets of that graph are grown from its edges (as in Wernicke's ESU motif
-enumeration, IEEE/ACM TCBB 2006) and classified by their adjacency bit codes
-against the pattern's precomputed isomorphism codes.  Point tuples are
-classified from their pairs i < j by `_strict_adjacent`, as the edge list is,
-and every bit code has the one layout of `_pair_codes`.
+enumeration, IEEE/ACM TCBB 2006) and classified by the same `geometric_codes`
+as point tuples, against the pattern's precomputed isomorphism codes.  Tuples
+are classified from their pairs i < j by `_strict_adjacent`, as the edge list
+is, and every bit code has the one layout of `_pair_codes`.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import CapacityError, ParameterError, PreconditionError
 from .montecarlo import (
+    FloorAwareFit,
     NormalizationRecord,
     Purpose,
     ReplicateSet,
@@ -230,27 +231,15 @@ def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 class _StrictGraph:
-    """CSR adjacency of the strict-radius graph plus its sorted packed edge keys."""
+    """CSR adjacency of the strict-radius graph."""
 
     def __init__(self, edges: np.ndarray, n: int):
         self.n = n
-        self.edge_keys = np.sort(edges[:, 0] * n + edges[:, 1])
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
         self.indices = dst[np.argsort(src, kind="stable")]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-
-    def edge_rows(self) -> np.ndarray:
-        """The edges as sorted 2-sets, in lexicographic order."""
-        return np.column_stack(np.divmod(self.edge_keys, self.n))
-
-    def adjacent(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether a[i] < b[i] are joined by an edge, elementwise."""
-        key = a * self.n + b
-        pos = np.searchsorted(self.edge_keys, key)
-        pos[pos == self.edge_keys.size] = 0
-        return self.edge_keys[pos] == key
 
     def extend(self, rows: np.ndarray, cnt: np.ndarray) -> np.ndarray:
         """Distinct (k+1)-sets grown from the sorted k-sets ``rows``.
@@ -276,30 +265,33 @@ class _StrictGraph:
 _GROW_BUDGET = 1 << 21
 
 
-def _count_grown(graph: _StrictGraph, rows: np.ndarray, pat: GraphPattern) -> int:
+def _count_grown(graph: _StrictGraph, rows: np.ndarray, pts: np.ndarray,
+                 pat: GraphPattern, t: float) -> int:
     """Pattern copies among the connected p-sets grown from the sorted k-sets ``rows``.
 
     Every set grown from a k-set keeps its minimum (the anchor), so rows are
     split into blocks of whole anchors, each deduplicated completely on its own.
+    The p-sets are classified by `geometric_codes` of the points ``pts`` at
+    radius t, as point tuples are.
     """
     p = pat.p
     m, k = rows.shape
     if m == 0:
         return 0
     if k == p:
-        codes = _pair_codes(m, p, lambda i, j: graph.adjacent(rows[:, i], rows[:, j]))
+        codes = geometric_codes([pts[rows[:, i]] for i in range(p)], t)
         return int(np.count_nonzero(np.isin(codes, pat._iso_codes)))
     cnt = np.diff(graph.indptr)[rows]
     size = cnt.sum(axis=1) * (k + 1)
     if int(size.sum()) <= _GROW_BUDGET:
-        return _count_grown(graph, graph.extend(rows, cnt), pat)
+        return _count_grown(graph, graph.extend(rows, cnt), pts, pat, t)
     before = np.cumsum(size) - size
     first = np.flatnonzero(np.r_[True, rows[1:, 0] != rows[:-1, 0]])
     block = before[first] // _GROW_BUDGET
     cuts = first[np.flatnonzero(np.diff(block)) + 1]
     total = 0
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m]):
-        total += _count_grown(graph, graph.extend(rows[lo:hi], cnt[lo:hi]), pat)
+        total += _count_grown(graph, graph.extend(rows[lo:hi], cnt[lo:hi]), pts, pat, t)
     return total
 
 
@@ -313,9 +305,9 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     instead.  For p >= 3 the connected induced vertex sets of that graph are
     grown level by level from its edges (a set takes any neighbour of a
     member above the set's minimum, and duplicates are dropped), and each
-    p-set is classified by its adjacency bit code against the pattern's
-    isomorphism codes.  Copies of a connected pattern are connected sets, so
-    the result equals direct enumeration over all p-subsets.
+    p-set is classified by its `geometric_codes` bit code against the
+    pattern's isomorphism codes.  Copies of a connected pattern are connected
+    sets, so the result equals direct enumeration over all p-subsets.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -329,34 +321,29 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     pairs, mask = _strict_pairs(pts, t)
     if p == 2:
         return int(np.count_nonzero(mask))
-    graph = _StrictGraph(pairs[mask], n)
-    return _count_grown(graph, graph.edge_rows(), pat)
+    edges = pairs[mask]
+    return _count_grown(_StrictGraph(edges, n), _unique_rows(edges, n), pts, pat, t)
 
 
 @dataclass(frozen=True)
 class DensityModel:
     """Sampling model for the point distribution (bounded, a.e.-continuous density)."""
 
-    kind: str  # "uniform-box" | "uniform-ball" | "gaussian" | "custom"
+    kind: str  # "uniform-box" | "uniform-ball" | "gaussian"
     dimension: int
-    # (rng, n) -> (n, dimension) points of a custom density; replicate loops
-    # re-key one generator for every replicate, so it must not keep rng
-    sampler_fn: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform-box", "uniform-ball", "gaussian", "custom"):
+        if self.kind not in ("uniform-box", "uniform-ball", "gaussian"):
             raise ParameterError(f"unknown density kind {self.kind!r}")
         if self.dimension < 1:
             raise ParameterError("dimension must be >= 1")
-        if self.kind == "custom" and self.sampler_fn is None:
-            raise ParameterError("custom densities need a sampler")
 
     @property
     def is_uniform(self) -> bool:
         return self.kind in ("uniform-box", "uniform-ball")
 
     def in_support(self, points: np.ndarray) -> np.ndarray:
-        """Support membership per point tuple (conservative True for custom)."""
+        """Support membership per point tuple (all True for the gaussian)."""
         pts = np.asarray(points, dtype=float)
         if self.kind == "uniform-box":
             ok = (pts >= 0.0) & (pts <= 1.0)
@@ -371,12 +358,10 @@ class DensityModel:
             return rng.random((n, d))
         if self.kind == "gaussian":
             return rng.standard_normal((n, d))
-        if self.kind == "uniform-ball":
-            dirs = rng.standard_normal((n, d))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            radii = rng.random(n) ** (1.0 / d)
-            return dirs * radii[:, None]
-        return np.asarray(self.sampler_fn(rng, n), dtype=float)
+        dirs = rng.standard_normal((n, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = rng.random(n) ** (1.0 / d)
+        return dirs * radii[:, None]
 
 
 @dataclass(frozen=True)
@@ -580,22 +565,18 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
     dws = [r["dw"] for r in records]
     if all(math.isfinite(v) and v > 0 for v in dws):
         dw_fit = fit_distance_powerlaw(ns_arr, dws, [r["dw_se"] for r in records], floor)
-        dw_fit_raw = ols_loglog(ns_arr, dws)
-        exps["distance"] = {
-            "fitted": dw_fit.slope,
-            "stderr": dw_fit.stderr,
-            "amplitude": dw_fit.amplitude,
-            "fitted_raw": dw_fit_raw.slope,
-            **targets["distance"],
-        }
+        raw = ols_loglog(ns_arr, dws).slope
     else:
-        exps["distance"] = {
-            "fitted": float("nan"),
-            "stderr": float("nan"),
-            "amplitude": float("nan"),
-            "fitted_raw": float("nan"),
-            **targets["distance"],
-        }
+        dw_fit, raw = FloorAwareFit(math.nan, math.nan, math.nan), math.nan
+    exps["distance"] = {
+        "fitted": dw_fit.slope,
+        "stderr": dw_fit.stderr,
+        "amplitude": dw_fit.amplitude,
+        "fitted_raw": raw,
+        **targets["distance"],
+    }
+    if math.isnan(dw_fit.slope):  # no rate was fitted, so none is flagged
+        exps["distance"]["flag"] = "not-fitted"
 
     config = {
         "pattern": pat.name,

@@ -105,25 +105,25 @@ def exhaustive_variance(fn, m, n, mu):
 
 
 def brute_subgraph_count(points, pat, t):
-    """O(n^p) reference count used against the pruned implementation."""
+    """Reference count over every p-subset of the points.
+
+    Each subset's pair bits are read from the full squared-distance matrix and
+    matched against the codes of every relabelling of the pattern's adjacency.
+    """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    total = 0
-    for idx in itertools.combinations(range(n), pat.p):
-        sub = pts[list(idx)]
-        d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(-1)
-        adj = (d2 > 0.0) & (d2 < t * t)
-        ok = False
-        for perm in itertools.permutations(range(pat.p)):
-            if all(
-                adj[perm[i], perm[j]] == pat.adjacency[i, j]
-                for i in range(pat.p)
-                for j in range(i + 1, pat.p)
-            ):
-                ok = True
-                break
-        total += 1 if ok else 0
-    return total
+    p = pat.p
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    adj = (d2 > 0.0) & (d2 < t * t)
+    pairs = list(itertools.combinations(range(p), 2))
+    a = np.asarray(pat.adjacency, dtype=bool)
+    want = [sum(1 << b for b, (i, j) in enumerate(pairs) if a[perm[i], perm[j]])
+            for perm in itertools.permutations(range(p))]
+    subsets = np.array(list(itertools.combinations(range(len(pts)), p)),
+                       dtype=np.int64).reshape(-1, p)
+    codes = np.zeros(len(subsets), dtype=np.int64)
+    for b, (i, j) in enumerate(pairs):
+        codes += adj[subsets[:, i], subsets[:, j]] * 2**b
+    return int(np.count_nonzero(np.isin(codes, want)))
 
 
 def brute_codes(tuples, t):

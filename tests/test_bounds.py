@@ -174,10 +174,10 @@ class TestDominant:
             k = random_kernel(rng, p, m)
             rep = bound_dominant(k, mu, 2 * p + 6)
             assert rep.extras["rank"] == 1
-            assert rep.extras["degenerate_variant"] == "b1"
             centred = k.shifted(float(decompose(k, mu).g[0]))
             hs = decompose(k.scaled(1.0 / lp_norm(centred, mu, 2.0)), mu)
             b1, b2 = bound_degenerate_1d(hs.psi_kernel(1), mu, 2 * p + 6)
+            assert {key: v for key, v in rep.terms.items() if key != "residual"} == b1.terms
             assert b1.total == pytest.approx(b2.total, rel=1e-12)
             assert rep.total == pytest.approx(min(b1.total, b2.total) + rep.terms["residual"],
                                               rel=1e-12)
@@ -227,7 +227,7 @@ class TestMultivariate:
         mu = random_measure(rng, 3)
         psi = random_degenerate(rng, 2, 3, mu)
         n = 30
-        rep = bound_multivariate([psi], mu, n, PROFILE, a_variant=1)
+        rep = bound_multivariate([psi], mu, n, PROFILE)
         # the cross-sum factor reduces to the degenerate-bound contraction sum
         a1, _ = contraction_aggregates(psi, psi, mu, n)
         b1, _ = bound_degenerate_1d(psi, mu, n)

@@ -283,6 +283,18 @@ class TestCountSubgraphs:
         monkeypatch.setattr(geomgraph, "_GROW_BUDGET", 64)
         assert count_subgraphs(pts, pat, t) == whole > 0
 
+    @pytest.mark.parametrize("d, t", [(4, 1.0), (8, 2.0)])
+    @pytest.mark.parametrize("pat", [TRIANGLE, PATH3, PAW], ids=lambda pat: pat.name)
+    def test_high_dimensions_match_brute_force(self, pat, d, t):
+        # half-integer lattice points have squared distances in multiples of
+        # 0.25, so some lattice pairs sit exactly at t; every sixth one repeats
+        rng = np.random.default_rng(140 + d)
+        lat = rng.integers(0, 4, size=(24, d)) * 0.5
+        lat[::6] = lat[1::6]
+        assert np.any(np.triu(((lat[:, None] - lat[None]) ** 2).sum(-1) == t * t, k=1))
+        pts = np.concatenate([lat, rng.random((24, d)) * 1.5])
+        assert count_subgraphs(pts, pat, t) == brute_subgraph_count(pts, pat, t) > 0
+
     def test_complete_pattern_monotone_in_radius(self):
         rng = np.random.default_rng(95)
         pts = rng.random((60, 2))
@@ -302,6 +314,17 @@ class TestUniqueRows:
         rows = np.concatenate([rows, rows[::3]])
         expected = sorted(set(map(tuple, rows.tolist())))
         assert _unique_rows(rows, n).tolist() == [list(r) for r in expected]
+
+
+class TestDensityModel:
+    @pytest.mark.parametrize("kind", ["custom", "uniform"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ParameterError):
+            DensityModel(kind, 2)
+
+    def test_gaussian_support_is_everything(self):
+        pts = np.random.default_rng(150).standard_normal((20, 3, 2)) * 10.0
+        assert DensityModel("gaussian", 2).in_support(pts).all()
 
 
 class TestSchedules:
@@ -362,6 +385,16 @@ class TestRegimeExperiment:
         with pytest.raises(ParameterError, match="bootstrap"):
             regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0), [64, 128, 256, 512],
                               100, seed=0, bootstrap=1)
+
+    def test_unfitted_distance_is_flagged(self):
+        # the CLI's reference sweep: every dw sits at or under the noise floor,
+        # so the floor-aware fit is null and no rate is flagged
+        rep = regime_experiment(EDGE, BOX2, RadiusSchedule("C4", rho=1.0),
+                                [64, 128, 256, 512], 120, seed=3)
+        assert all(r["dw"] <= r["dw_floor"] for r in rep.records)
+        dist = rep.exponents["distance"]
+        assert np.isnan(dist["fitted"]) and dist["flag"] == "not-fitted"
+        assert np.isfinite(dist["fitted_raw"])
 
     def test_report_is_reproducible(self):
         sched = RadiusSchedule("C4", rho=1.0)
