@@ -8,9 +8,11 @@ radius once (edge counts of points on a line come from sorting instead), the
 strict predicate keeps the edges, and for p >= 3 the connected induced vertex
 sets of that graph are grown from its edges (as in Wernicke's ESU motif
 enumeration, IEEE/ACM TCBB 2006) and classified by the same `geometric_codes`
-as point tuples, against the pattern's precomputed isomorphism codes.  Tuples
-are classified from their pairs i < j by `_strict_adjacent`, as the edge list
-is, and every bit code has the one layout of `_pair_codes`.
+as point tuples, against the pattern's precomputed isomorphism codes.  Growth
+works on 1-D vertex columns, one per set member, and drops repeated sets by
+sorting their packed base-n keys.  Tuples are classified from their pairs
+i < j by `_strict_adjacent`, as the edge list is, and every bit code has the
+one layout of `_pair_codes`.
 """
 
 from __future__ import annotations
@@ -153,8 +155,13 @@ def geometric_codes(points, t: float) -> np.ndarray:
 def pattern_indicator(points, pat: GraphPattern, t: float) -> np.ndarray:
     """Vectorized induced-isomorphism indicator over batches of p-point tuples,
     given as ``geometric_codes`` takes them."""
-    codes = geometric_codes(points, t)
-    return np.isin(codes, pat._iso_codes).astype(float)
+    return _is_pattern_code(geometric_codes(points, t), pat).astype(float)
+
+
+def _is_pattern_code(codes: np.ndarray, pat: GraphPattern) -> np.ndarray:
+    """Whether each bit code is one of the pattern's sorted isomorphism codes."""
+    # the sort kind: numpy's default isin cost 4-40x more on these few codes
+    return np.isin(codes, pat._iso_codes, kind="sort")
 
 
 def pattern_kernel(points: np.ndarray, pat: GraphPattern, t: float) -> int:
@@ -162,7 +169,7 @@ def pattern_kernel(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != pat.p:
         raise ParameterError(f"need exactly {pat.p} points")
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("radius must be positive")
     return int(pattern_indicator(pts[None, ...], pat, t)[0])
 
@@ -210,53 +217,79 @@ def _run_end(x: np.ndarray, start: np.ndarray, keep, guess=None) -> np.ndarray:
     return end
 
 
-def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Distinct rows of an array of vertex indices below n, in lexicographic order.
+def _unique_rows(rows, n: int) -> np.ndarray:
+    """Distinct rows of vertex indices below n, in lexicographic order.
 
-    Rows are packed into one int64 key in base n; when n**k does not fit in
-    an int64 for k columns, they are compared row-wise instead.
+    ``rows`` is an (m, k) array or a list of its k columns.  Rows are packed
+    into one int64 key in base n, and the keys are sorted with the repeats
+    dropped; the result is an (m', k) array whose columns are contiguous.
+    When n**k does not fit in an int64, rows are compared row-wise instead.
     """
-    k = rows.shape[1]
+    cols = list(rows.T) if isinstance(rows, np.ndarray) else rows
+    k = len(cols)
     if n**k >= 2**63:
-        return np.unique(rows, axis=0)
-    key = rows[:, 0].astype(np.int64)
-    for c in range(1, k):
-        key = key * n + rows[:, c]
-    key = np.unique(key)
-    out = np.empty((key.size, k), dtype=np.int64)
+        return np.unique(np.column_stack(cols), axis=0)
+    # a sort and an adjacent-difference mask, not np.unique: numpy 2.4 takes a
+    # hash path there that cost 1.0 ms on 5.7k keys and 40 ms on 100k, against
+    # 63 us and 1.0 ms for the sort (2-vCPU x86-64, fresh keys each call)
+    key = cols[0].astype(np.int64)
+    for c in cols[1:]:
+        key *= n
+        key += c
+    key.sort()
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    key = key[new]
+    out = np.empty((k, key.size), dtype=np.int64)
     for c in range(k - 1, 0, -1):
-        key, out[:, c] = np.divmod(key, n)
-    out[:, 0] = key
-    return out
+        key, out[c] = np.divmod(key, n)
+    out[0] = key
+    return out.T
 
 
 class _StrictGraph:
-    """CSR adjacency of the strict-radius graph."""
+    """CSR adjacency of the strict-radius graph, with each vertex's degree."""
 
     def __init__(self, edges: np.ndarray, n: int):
         self.n = n
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        self.indices = dst[np.argsort(src, kind="stable")]
+        # one sorted key src * n + dst per directed edge: the CSR in key order
+        key = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+        key.sort()
+        src, self.indices = np.divmod(key, n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.degree = np.diff(self.indptr)
 
-    def extend(self, rows: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-        """Distinct (k+1)-sets grown from the sorted k-sets ``rows``.
+    def extend(self, rows: np.ndarray) -> np.ndarray:
+        """Distinct (k+1)-sets grown from the sorted k-sets ``rows``, as `_unique_rows` gives them.
 
-        A set takes any neighbour of a member that exceeds the set's minimum;
-        ``cnt`` holds the members' degrees.
+        A set takes any neighbour of a member that exceeds the set's minimum.
+        Rows are handled as 1-D vertex columns: the members' neighbours are
+        listed column after column, membership is tested one column at a time,
+        and the new vertex is merged into the sorted rows column by column.
         """
         m, k = rows.shape
-        flat = rows.ravel()
-        cnt = cnt.ravel()
-        ends = np.cumsum(cnt)
-        src = np.repeat(np.arange(m), cnt.reshape(m, k).sum(axis=1))
-        pos = np.repeat(self.indptr[flat] - ends + cnt, cnt) + np.arange(ends[-1])
-        w = self.indices[pos]
-        base = rows[src]
-        keep = (w > base[:, 0]) & ~(base == w[:, None]).any(axis=1)
-        grown = np.sort(np.column_stack([base[keep], w[keep]]), axis=1)
+        cols = rows.T
+        # the neighbours of every member, listed column after column
+        flat = cols.ravel()
+        deg = self.degree[flat]
+        ends = np.cumsum(deg)
+        w = self.indices[np.repeat(self.indptr[flat] - ends + deg, deg)
+                         + np.arange(ends[-1] if flat.size else 0)]
+        src = np.repeat(np.arange(k * m) % m, deg)
+        keep = w > cols[0][src]
+        for c in cols[1:]:
+            keep &= w != c[src]
+        idx = np.flatnonzero(keep)
+        src, w = src[idx], w[idx]
+        base = [c[src] for c in cols]
+        # w exceeds the minimum and is no member, so the merged row is
+        # b_0, then b_j where w > b_j, else max(b_(j-1), w), then max(b_(k-1), w)
+        grown = [base[0]]
+        for j in range(1, len(base)):
+            grown.append(np.where(w > base[j], base[j], np.maximum(base[j - 1], w)))
+        grown.append(np.maximum(base[-1], w))
         return _unique_rows(grown, self.n)
 
 
@@ -279,19 +312,18 @@ def _count_grown(graph: _StrictGraph, rows: np.ndarray, pts: np.ndarray,
     if m == 0:
         return 0
     if k == p:
-        codes = geometric_codes([pts[rows[:, i]] for i in range(p)], t)
-        return int(np.count_nonzero(np.isin(codes, pat._iso_codes)))
-    cnt = np.diff(graph.indptr)[rows]
-    size = cnt.sum(axis=1) * (k + 1)
+        codes = geometric_codes([pts.take(c, axis=0) for c in rows.T], t)
+        return int(np.count_nonzero(_is_pattern_code(codes, pat)))
+    size = sum(graph.degree[c] for c in rows.T) * (k + 1)
     if int(size.sum()) <= _GROW_BUDGET:
-        return _count_grown(graph, graph.extend(rows, cnt), pts, pat, t)
+        return _count_grown(graph, graph.extend(rows), pts, pat, t)
     before = np.cumsum(size) - size
     first = np.flatnonzero(np.r_[True, rows[1:, 0] != rows[:-1, 0]])
     block = before[first] // _GROW_BUDGET
     cuts = first[np.flatnonzero(np.diff(block)) + 1]
     total = 0
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m]):
-        total += _count_grown(graph, graph.extend(rows[lo:hi], cnt[lo:hi]), pts, pat, t)
+        total += _count_grown(graph, graph.extend(rows[lo:hi]), pts, pat, t)
     return total
 
 
@@ -303,13 +335,22 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     coincident points are never adjacent.  A KD-tree lists the pairs within t
     once; edges of points on a line are counted from the sorted values
     instead.  For p >= 3 the connected induced vertex sets of that graph are
-    grown level by level from its edges (a set takes any neighbour of a
-    member above the set's minimum, and duplicates are dropped), and each
-    p-set is classified by its `geometric_codes` bit code against the
-    pattern's isomorphism codes.  Copies of a connected pattern are connected
-    sets, so the result equals direct enumeration over all p-subsets.
+    grown level by level from its edges, one vertex column at a time: a set
+    takes any neighbour of a member above the set's minimum, the new vertex
+    is merged into the sorted row, and duplicates are dropped by sorting the
+    sets' packed base-n keys.  Each p-set is classified by its
+    `geometric_codes` bit code against the pattern's isomorphism codes.
+    Copies of a connected pattern are connected sets, so the result equals
+    direct enumeration over all p-subsets.  Points must be a finite (n, d)
+    array with d >= 1, and the radius must not be NaN.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ParameterError(f"points must be an (n, d) array with d >= 1, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ParameterError("point coordinates must be finite")
+    if math.isnan(t):
+        raise ParameterError("radius must not be NaN")
     n = pts.shape[0]
     p = pat.p
     if n < p:

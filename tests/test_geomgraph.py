@@ -295,6 +295,40 @@ class TestCountSubgraphs:
         pts = np.concatenate([lat, rng.random((24, d)) * 1.5])
         assert count_subgraphs(pts, pat, t) == brute_subgraph_count(pts, pat, t) > 0
 
+    def test_rejects_one_dimensional_points(self):
+        with pytest.raises(ParameterError):
+            count_subgraphs(np.arange(6.0), TRIANGLE, 0.5)
+
+    def test_rejects_a_nan_coordinate(self):
+        pts = np.random.default_rng(101).random((12, 2))
+        pts[4, 1] = np.nan
+        with pytest.raises(ParameterError):
+            count_subgraphs(pts, TRIANGLE, 0.5)
+
+    def test_rejects_points_without_coordinates(self):
+        with pytest.raises(ParameterError):
+            count_subgraphs(np.zeros((6, 0)), TRIANGLE, 0.5)
+
+    def test_rejects_a_nan_radius(self):
+        with pytest.raises(ParameterError):
+            count_subgraphs(np.random.default_rng(102).random((6, 2)), TRIANGLE, float("nan"))
+        with pytest.raises(ParameterError):
+            pattern_kernel(np.zeros((3, 2)), TRIANGLE, float("nan"))
+
+    @pytest.mark.parametrize("pat", [TRIANGLE, PAW], ids=lambda pat: pat.name)
+    def test_grown_sets_are_deduplicated_without_np_unique(self, pat, monkeypatch):
+        # 300**4 < 2**63, so every level is deduplicated on packed keys
+        rng = np.random.default_rng(103)
+        pts = rng.random((300, 2))
+        t = 0.1
+        want = count_subgraphs(pts, pat, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called on the packed-key path")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        assert count_subgraphs(pts, pat, t) == want > 0
+
     def test_complete_pattern_monotone_in_radius(self):
         rng = np.random.default_rng(95)
         pts = rng.random((60, 2))
@@ -314,6 +348,86 @@ class TestUniqueRows:
         rows = np.concatenate([rows, rows[::3]])
         expected = sorted(set(map(tuple, rows.tolist())))
         assert _unique_rows(rows, n).tolist() == [list(r) for r in expected]
+
+    @pytest.mark.parametrize("n", [50, 2**40])
+    def test_list_of_columns_matches_the_array(self, n):
+        rows = np.sort(np.random.default_rng(104).integers(0, 50, size=(300, 4)), axis=1)
+        rows = np.concatenate([rows, rows[::4]])
+        want = _unique_rows(rows, n)
+        assert np.array_equal(_unique_rows([rows[:, c].copy() for c in range(4)], n), want)
+        assert np.array_equal(want, np.unique(rows, axis=0))
+
+    @pytest.mark.parametrize("n", [50, 2**40])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_empty_input(self, n, k):
+        empty = np.empty((0, k), dtype=np.int64)
+        assert _unique_rows(empty, n).shape == (0, k)
+        assert _unique_rows([empty[:, c] for c in range(k)], n).shape == (0, k)
+
+
+def _random_graph(rng, n, density):
+    """Edges (i < j) of a random graph and its dense boolean adjacency."""
+    adj = np.triu(rng.random((n, n)) < density, k=1)
+    adj |= adj.T
+    i, j = np.nonzero(np.triu(adj))
+    return np.stack([i, j], axis=1), adj
+
+
+def _connected_set(vertices, adj):
+    vertices = set(vertices)
+    seen, frontier = set(), [min(vertices)]
+    while frontier:
+        v = frontier.pop()
+        if v not in seen:
+            seen.add(v)
+            frontier.extend(u for u in vertices if adj[v, u])
+    return seen == vertices
+
+
+def _assert_csr_matches(graph, adj):
+    assert graph.indptr[0] == 0 and graph.indptr[-1] == adj.sum()
+    assert graph.degree.tolist() == adj.sum(axis=1).tolist()
+    for v in range(len(adj)):
+        nbrs = graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
+        assert sorted(nbrs.tolist()) == np.flatnonzero(adj[v]).tolist()
+
+
+class TestStrictGraph:
+    @pytest.mark.parametrize("n, density", [(1, 0.0), (5, 0.0), (12, 0.3), (40, 0.1), (40, 0.9)])
+    def test_neighbours_and_degrees_match_dense_adjacency(self, n, density):
+        rng = np.random.default_rng(105 + n)
+        edges, adj = _random_graph(rng, n, density)
+        _assert_csr_matches(geomgraph._StrictGraph(rng.permutation(edges), n), adj)
+
+    def test_geometric_graph_matches_dense_adjacency(self):
+        # lattice points with repeats and pairs exactly at t
+        pts = np.concatenate([lattice(6, 2), lattice(6, 2)[:9]]) * 0.5
+        t = 1.0
+        d2 = ((pts[:, None] - pts[None]) ** 2).sum(-1)
+        adj = (d2 > 0.0) & (d2 < t * t)
+        pairs, mask = geomgraph._strict_pairs(pts, t)
+        _assert_csr_matches(geomgraph._StrictGraph(pairs[mask], len(pts)), adj)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extend_matches_set_oracle(self, seed):
+        # every connected (k+1)-superset of an input set that keeps its minimum
+        rng = np.random.default_rng(110 + seed)
+        n = int(rng.integers(6, 13))
+        edges, adj = _random_graph(rng, n, float(rng.uniform(0.2, 0.6)))
+        graph = geomgraph._StrictGraph(edges, n)
+        grown = 0
+        for k in (2, 3, 4):
+            sets = [s for s in itertools.combinations(range(n), k) if _connected_set(s, adj)]
+            rows = [s for s in sets if rng.random() < 0.6]
+            if not rows:
+                continue
+            want = sorted({tuple(sorted(s + (w,))) for s in rows for w in range(n)
+                           if w > s[0] and w not in s and _connected_set(s + (w,), adj)})
+            got = graph.extend(np.array(rows, dtype=np.int64).reshape(-1, k))
+            assert got.shape[1] == k + 1
+            assert [tuple(r) for r in got.tolist()] == want
+            grown += len(want)
+        assert grown > 0
 
 
 class TestDensityModel:
