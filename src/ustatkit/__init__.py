@@ -48,7 +48,6 @@ from .bounds import (
 from .montecarlo import (
     ReplicateSet,
     benchmark_kernel,
-    rate_fit,
     simulate,
     smooth_distance,
     wasserstein_to_normal,
@@ -106,7 +105,6 @@ __all__ = [
     "named_pattern",
     "pattern_kernel",
     "product_kernels",
-    "rate_fit",
     "reconstruct_check",
     "regime_experiment",
     "simulate",

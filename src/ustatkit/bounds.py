@@ -59,8 +59,8 @@ class KappaConfig:
 
     def __post_init__(self):
         for p, v in self.values.items():
-            if v <= 0:
-                raise ParameterError(f"kappa_{p} must be positive, got {v}")
+            if not 0 < v < math.inf:
+                raise ParameterError(f"kappa_{p} must be positive and finite, got {v}")
 
     def get(self, p: int):
         if p in self.values:
@@ -106,8 +106,7 @@ class BoundReport:
 
     total: float
     terms: dict
-    constant_mode: str = "exact-finite-n"
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     def __post_init__(self):
         s = float(sum(self.terms.values()))
@@ -119,11 +118,12 @@ def _report(terms: dict, extras: dict) -> BoundReport:
     return BoundReport(total=float(sum(terms.values())), terms=terms, extras=extras)
 
 
-def _diagonal_l4_split(n: int, i: int, k: int, diag_norm):
+def _diagonal_l4_split(n: int, i: int, k: int, cn: dict):
     """(diagonal part, L4 part) of the aggregate that keeps the diagonal contractions.
 
     Over the admissible (t, r) of orders (i, k), the diagonal part sums
-    ``prefactor_ratio(n, i, k, 2s, s) * diag_norm(s)`` (t = 2s, r = s); the L4
+    ``prefactor_ratio(n, i, k, 2s, s)`` times the norm of the contraction
+    ``cn[(s, s)]`` of the `_contraction_table` ``cn`` (t = 2s, r = s); the L4
     part sums the ratios of every other (t, r), whose contraction norms the
     caller replaces by a product of L4 norms.  Even t are summed first.
     """
@@ -133,7 +133,7 @@ def _diagonal_l4_split(n: int, i: int, k: int, diag_norm):
         for r in _overlaps(t, i, k):
             ratio = prefactor_ratio(n, i, k, t, r)
             if 2 * r == t:
-                diag += ratio * diag_norm(r)
+                diag += ratio * cn[(r, r)].l2_norm
             else:
                 l4 += ratio
     return diag, l4
@@ -204,7 +204,7 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                 "kappa_value": kap, "kappa_provenance": prov, "order": p},
     )
 
-    diag, l4_sum = _diagonal_l4_split(n, p, p, lambda s: cn[(s, s)].l2_norm)
+    diag, l4_sum = _diagonal_l4_split(n, p, p, cn)
     b2 = _report(
         terms={
             "contraction": W1_COEF * (diag / l2**2),
@@ -312,7 +312,7 @@ def contraction_aggregates(psi_i: SymmetricKernel, psi_k: SymmetricKernel,
         a1 += v
 
     l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
-    diag, l4_sum = _diagonal_l4_split(n, pi, pk, lambda s: cn[(s, s)].l2_norm)
+    diag, l4_sum = _diagonal_l4_split(n, pi, pk, cn)
     return a1, diag + l4 * l4_sum
 
 

@@ -2,7 +2,8 @@
 
 Reports are JSON with sorted keys and floats printed at 17 significant
 digits, so identical configurations produce byte-identical files.  Every
-report embeds its fully resolved configuration, including the seed.
+report embeds its fully resolved configuration; only the subcommands that
+draw random numbers (product-check with --mc, simulate, geomgraph) take a seed.
 
 Exit codes: 0 success, 2 validation problem (the diagnostic names the
 offending field or file), 3 capacity limit, 4 violated numeric contract.
@@ -80,11 +81,14 @@ def canonical_json(obj) -> str:
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read {what} file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{what} file {path!r} must hold a JSON object")
+    return doc
 
 
 def load_kernel(path: str) -> SymmetricKernel:
@@ -197,23 +201,23 @@ def _cmd_bound(args) -> dict:
     kernel = load_kernel(args.kernel)
     mu = load_measure(args.measure)
     kappa = load_kappa(args.kappa)
-    try:
-        m1, m2, m3 = (float(x) for x in args.profile.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"field 'profile' needs three comma-separated numbers: {exc}") from exc
-    profile = bounds.TestFunctionProfile(m1=m1, m2=m2, m3=m3)
     if args.variant in ("b1", "b2"):
+        # Wasserstein bounds: no test function, so no profile
+        if args.profile is not None:
+            raise ParameterError(f"field 'profile' does not apply to variant {args.variant}")
         b1, b2 = bounds.bound_degenerate_1d(kernel, mu, args.n, kappa)
         report = b1 if args.variant == "b1" else b2
     else:
+        if args.profile is None:
+            args.profile = "1,1,1"  # the report's config echoes the resolved profile
+        try:
+            m1, m2, m3 = (float(x) for x in args.profile.split(","))
+        except ValueError as exc:
+            raise ParameterError(f"field 'profile' needs three comma-separated numbers: {exc}") from exc
+        profile = bounds.TestFunctionProfile(m1=m1, m2=m2, m3=m3)
         variant = "B" if args.variant == "general-B" else "B'"
         report = bounds.bound_general(kernel, mu, args.n, profile, kappa, variant)
-    return {
-        "total": report.total,
-        "terms": report.terms,
-        "constant_mode": report.constant_mode,
-        "extras": report.extras,
-    }
+    return {"total": report.total, "terms": report.terms, "extras": report.extras}
 
 
 def _cmd_simulate(args) -> dict:
@@ -285,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("decompose", help="projection functions, level kernels, rank")
@@ -308,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--measure", required=True)
     sp.add_argument("--mc", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("bound", help="normal-approximation bound report")
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=str, default=None)
     sp.add_argument("--variant", choices=["b1", "b2", "general-B", "general-Bprime"],
                     default="b1")
-    sp.add_argument("--profile", type=str, default="1,1,1")
+    sp.add_argument("--profile", type=str, default=None)
     common(sp)
 
     sp = sub.add_parser("simulate", help="replicate a U-statistic and measure distances")
@@ -327,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--normalization", choices=["exact", "empirical"], default="exact")
     sp.add_argument("--dump", type=str, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("geomgraph", help="radius-regime sweep for pattern counts")
@@ -341,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ns", type=str, required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--csv", type=str, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     return parser
 

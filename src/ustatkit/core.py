@@ -45,6 +45,8 @@ class DiscreteMeasure:
         w = np.array(self.weights, dtype=float, copy=True)
         if w.ndim != 1 or w.size == 0:
             raise ParameterError("weights must be a non-empty vector")
+        if not np.isfinite(w).all():
+            raise ParameterError("weights must be finite")
         if np.any(w < 0.0):
             raise ParameterError("weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
@@ -81,6 +83,8 @@ class SymmetricKernel:
         m = v.shape[0]
         if any(s != m for s in v.shape):
             raise DimensionError(f"kernel tensor must be a cube, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ParameterError("kernel values must be finite")
         _check_symmetry(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

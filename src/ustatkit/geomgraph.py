@@ -27,6 +27,8 @@ from scipy.spatial import cKDTree
 
 from .errors import CapacityError, ParameterError, PreconditionError
 from .montecarlo import (
+    BOOTSTRAP_RESAMPLES,
+    MIN_REPLICATES_FOR_DISTANCE,
     FloorAwareFit,
     NormalizationRecord,
     Purpose,
@@ -217,15 +219,14 @@ def _run_end(x: np.ndarray, start: np.ndarray, keep, guess=None) -> np.ndarray:
     return end
 
 
-def _unique_rows(rows, n: int) -> np.ndarray:
+def _unique_rows(cols, n: int) -> np.ndarray:
     """Distinct rows of vertex indices below n, in lexicographic order.
 
-    ``rows`` is an (m, k) array or a list of its k columns.  Rows are packed
+    ``cols`` is the list of the rows' k vertex columns.  Rows are packed
     into one int64 key in base n, and the keys are sorted with the repeats
     dropped; the result is an (m', k) array whose columns are contiguous.
     When n**k does not fit in an int64, rows are compared row-wise instead.
     """
-    cols = list(rows.T) if isinstance(rows, np.ndarray) else rows
     k = len(cols)
     if n**k >= 2**63:
         return np.unique(np.column_stack(cols), axis=0)
@@ -363,7 +364,7 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     if p == 2:
         return int(np.count_nonzero(mask))
     edges = pairs[mask]
-    return _count_grown(_StrictGraph(edges, n), _unique_rows(edges, n), pts, pat, t)
+    return _count_grown(_StrictGraph(edges, n), _unique_rows(list(edges.T), n), pts, pat, t)
 
 
 @dataclass(frozen=True)
@@ -487,9 +488,9 @@ def _sample_vertices(density: DensityModel, rng: np.random.Generator, shape, m: 
     return list(np.moveaxis(pts, -2, 0))
 
 
-def _bootstrap_stats(counts: np.ndarray, rng: np.random.Generator, b: int = 200):
+def _bootstrap_stats(counts: np.ndarray, rng: np.random.Generator):
     r = counts.size
-    idx = rng.integers(0, r, size=(b, r))
+    idx = rng.integers(0, r, size=(BOOTSTRAP_RESAMPLES, r))
     res = counts[idx]
     return (
         float(res.mean(axis=1).std(ddof=1)),
@@ -497,8 +498,8 @@ def _bootstrap_stats(counts: np.ndarray, rng: np.random.Generator, b: int = 200)
     )
 
 
-def _feasibility_probe(pat, density, t, seed, trials=20_000) -> float:
-    """Positivity witness for the pattern probability at radius t.
+def _feasibility_probe(pat, density, t, seed) -> float:
+    """Positivity witness for the pattern probability at radius t, from 20,000 tuples.
 
     Plain sampling would almost never land a p-tuple inside one connectivity
     ball at small radii, so the probe anchors each tuple at a density draw and
@@ -508,8 +509,7 @@ def _feasibility_probe(pat, density, t, seed, trials=20_000) -> float:
     returned hit fraction is positive if and only if the probe found a
     realizable configuration.
     """
-    p = pat.p
-    d = density.dimension
+    p, d, trials = pat.p, density.dimension, 20_000
     rng = stream(seed, Purpose.FEASIBILITY)
     anchors = density.sample(rng, trials)
     offsets = rng.uniform(-1.0, 1.0, size=(trials, p - 1, d)) * (p - 1) * t
@@ -520,7 +520,7 @@ def _feasibility_probe(pat, density, t, seed, trials=20_000) -> float:
 
 def regime_experiment(pat: GraphPattern, density: DensityModel,
                       schedule: RadiusSchedule, ns: Sequence[int], reps: int,
-                      seed: int, bootstrap: int = 200) -> RegimeReport:
+                      seed: int) -> RegimeReport:
     """Sweep sample sizes along a radius schedule and fit scaling exponents.
 
     Per n: ``reps`` replicate counts (replicate j of the i-th sample size reads
@@ -534,10 +534,9 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
     """
     p = pat.p
     d = density.dimension
-    if reps < 100:
-        raise ParameterError("regime experiments need at least 100 replicates")
-    if bootstrap < 2:
-        raise ParameterError(f"bootstrap needs at least 2 resamples, got {bootstrap}")
+    if reps < MIN_REPLICATES_FOR_DISTANCE:
+        raise ParameterError(
+            f"regime experiments need at least {MIN_REPLICATES_FOR_DISTANCE} replicates")
     ns = [int(n) for n in ns]
     if len(ns) < 4:
         raise ParameterError("regime sweeps need at least 4 sample sizes")
@@ -557,7 +556,7 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
             "pattern is infeasible at the largest radius of the sweep"
         )
 
-    floor = coupling_bias(reps, standardized=True)
+    floor = coupling_bias(reps)
     records = []
     for ni, n in enumerate(ns):
         t = schedule.radius(n, d)
@@ -565,8 +564,7 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
             density.sample(rng, n), pat, t), seed, Purpose.REPLICATE, ni + 1)
         mean = float(counts.mean())
         var = float(counts.var(ddof=1))
-        mean_se, var_se = _bootstrap_stats(
-            counts, stream(seed, Purpose.VARBOOT, ni + 1), bootstrap)
+        mean_se, var_se = _bootstrap_stats(counts, stream(seed, Purpose.VARBOOT, ni + 1))
         sd = math.sqrt(var) if var > 0 else 0.0
         if sd > 0:
             rep = ReplicateSet(
@@ -576,7 +574,7 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
                 normalization=NormalizationRecord(mean=mean, sd=sd, source="empirical"),
                 slot=ni + 1,
             )
-            dw = wasserstein_to_normal(rep, bootstrap=bootstrap)
+            dw = wasserstein_to_normal(rep)
             dw_val, dw_se = dw.value, dw.stderr
         else:
             dw_val, dw_se = float("nan"), float("nan")
@@ -657,7 +655,7 @@ def variance_lower_bound_check(pat: GraphPattern, density: DensityModel,
     counts = _replicates(np.empty(reps), lambda rng: count_subgraphs(
         density.sample(rng, n), pat, t), seed, Purpose.VARCHECK, n)
     lhs = float(counts.var(ddof=1))
-    _, lhs_se = _bootstrap_stats(counts, stream(seed, Purpose.VARBOOT), 200)
+    _, lhs_se = _bootstrap_stats(counts, stream(seed, Purpose.VARBOOT))
 
     hits = _block_rows(q_samples, _Q_ROW, lambda rng, b: pattern_indicator(
         _sample_vertices(density, rng, (b,), p), pat, t), seed, Purpose.QPROB)

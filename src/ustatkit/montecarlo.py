@@ -38,6 +38,9 @@ CONTINUOUS_N_CAP = {1: 10**6, 2: 10**4, 3: 500}
 
 MIN_REPLICATES_FOR_DISTANCE = 100
 
+#: resamples of every bootstrap standard error
+BOOTSTRAP_RESAMPLES = 200
+
 #: ``_replicates`` forks workers only when the first replicate's time, times the
 #: replicates left, exceeds this.  On a 2-vCPU x86-64 VM, 2,000 three-symbol
 #: multinomial replicates took 14 ms in-process and 18-28 ms on 2 forced
@@ -239,9 +242,9 @@ def _continuous_ustat(spec: ContinuousKernelSpec, pts: np.ndarray) -> float:
     return total
 
 
-def _check_evaluator_symmetry(spec: ContinuousKernelSpec, seed: int,
-                              trials: int = 6) -> None:
+def _check_evaluator_symmetry(spec: ContinuousKernelSpec, seed: int) -> None:
     # sampled permutation-invariance check on a dedicated stream
+    trials = 6
     rng = stream(seed, Purpose.VALIDATION)
     pts = np.asarray(spec.sampler(rng, trials * spec.order), dtype=float)
     pts = pts.reshape(trials, spec.order, spec.dimension)
@@ -341,48 +344,43 @@ def coupling_distance(values: np.ndarray) -> Union[float, np.ndarray]:
     return np.mean(np.abs(v, out=v), axis=-1)
 
 
-def wasserstein_to_normal(rep: ReplicateSet, bootstrap: int = 200) -> DistanceEstimate:
+def wasserstein_to_normal(rep: ReplicateSet) -> DistanceEstimate:
     """Empirical Wasserstein-1 distance to N(0, 1) by quantile coupling.
 
     Couples the sorted replicate values to the normal midpoint quantiles and
     averages the transport gaps.  The estimator carries an O(R^-1/2 log R)
-    upward bias from sampling noise; a bootstrap standard error (resampling
-    replicates with replacement) accompanies the point value.
+    upward bias from sampling noise; a bootstrap standard error
+    (``BOOTSTRAP_RESAMPLES`` resamples of the replicates with replacement)
+    accompanies the point value.
     """
     r = rep.replicates
     if r < MIN_REPLICATES_FOR_DISTANCE:
         raise CapacityError(
             f"distance estimation needs >= {MIN_REPLICATES_FOR_DISTANCE} replicates, got {r}"
         )
-    if bootstrap < 2:
-        raise ParameterError(f"bootstrap needs at least 2 resamples, got {bootstrap}")
-    idx = stream(rep.seed, Purpose.BOOTSTRAP, rep.slot).integers(0, r, size=(bootstrap, r))
+    idx = stream(rep.seed, Purpose.BOOTSTRAP, rep.slot).integers(
+        0, r, size=(BOOTSTRAP_RESAMPLES, r))
     boots = coupling_distance(rep.values[idx])
     return DistanceEstimate(value=float(coupling_distance(rep.values)),
                             stderr=float(boots.std(ddof=1)))
 
 
 @functools.lru_cache(maxsize=64)
-def coupling_bias(r: int, standardized: bool = True, seed: int = 0,
-                  draws: int = 400) -> float:
+def coupling_bias(r: int) -> float:
     """Expected coupling distance of exactly-normal samples of size r.
 
     This is the estimator's noise floor; subtracting it (in quadrature)
-    recovers distances below the raw bias level.  ``standardized`` matches the
-    empirical-normalization pipeline, which rescales each sample by its own
-    mean and standard deviation before coupling.  Sample j reads the stream
-    (seed, CALIBRATION, 0, j).
+    recovers distances below the raw bias level.  It is the mean over 400
+    samples, each rescaled by its own mean and standard deviation before
+    coupling, as the empirical-normalization pipeline does.  Sample j reads
+    the stream (0, CALIBRATION, 0, j).
     """
-    if draws < 1:
-        raise ParameterError(f"draws needs at least 1 sample, got {draws}")
 
     def distance(rng):
         x = rng.standard_normal(r)
-        if standardized:
-            x = (x - x.mean()) / x.std(ddof=1)
-        return coupling_distance(x)
+        return coupling_distance((x - x.mean()) / x.std(ddof=1))
 
-    return float(_replicates(np.empty(draws), distance, seed, Purpose.CALIBRATION).mean())
+    return float(_replicates(np.empty(400), distance, 0, Purpose.CALIBRATION).mean())
 
 
 def debiased_distance(value: float, floor: float) -> float:
@@ -470,9 +468,14 @@ class RateFit:
 
 
 def ols_loglog(ns: Sequence[float], ds: Sequence[float]) -> RateFit:
-    """Least-squares fit of log(ds) against log(ns) (no point-count gate)."""
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(ds, dtype=float))
+    """Least-squares fit of log(ds) against log(ns): the log-log decay exponent."""
+    ns = np.asarray(ns, dtype=float)
+    ds = np.asarray(ds, dtype=float)
+    if ns.size != ds.size:
+        raise ParameterError("ns and ds must have equal length")
+    if np.any(ns <= 0) or np.any(ds <= 0):
+        raise ParameterError("rate fitting needs positive entries")
+    x, y = np.log(ns), np.log(ds)
     xc = x - x.mean()
     sxx = float(np.sum(xc * xc))
     if sxx <= 0.0:
@@ -483,19 +486,6 @@ def ols_loglog(ns: Sequence[float], ds: Sequence[float]) -> RateFit:
     dof = max(x.size - 2, 1)
     stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
     return RateFit(slope=slope, intercept=intercept, stderr=stderr)
-
-
-def rate_fit(ns: Sequence[float], ds: Sequence[float]) -> RateFit:
-    """Fitted log-log decay exponent of distances against sample sizes."""
-    ns = np.asarray(ns, dtype=float)
-    ds = np.asarray(ds, dtype=float)
-    if ns.size != ds.size:
-        raise ParameterError("ns and ds must have equal length")
-    if ns.size < 4:
-        raise ParameterError("rate fitting needs at least 4 points")
-    if np.any(ns <= 0) or np.any(ds <= 0):
-        raise ParameterError("rate fitting needs positive entries")
-    return ols_loglog(ns, ds)
 
 
 def benchmark_kernel():

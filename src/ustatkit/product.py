@@ -133,6 +133,8 @@ def _residual(pk: ProductKernelSet, psi: SymmetricKernel, phi: SymmetricKernel,
               mu: DiscreteMeasure, mc: Optional[int], seed: int) -> float:
     """`verify_product_formula` for the already built product kernels ``pk``."""
     m, n = mu.alphabet_size, pk.n
+    if mc is not None and mc < 1:
+        raise ParameterError(f"mc needs at least 1 sampled count vector, got {mc}")
     if m**n <= ENUMERATION_CAP:
         counts = np.array([np.bincount(combo, minlength=m) for combo in
                            itertools.combinations_with_replacement(range(m), n)])

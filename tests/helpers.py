@@ -104,14 +104,23 @@ def exhaustive_variance(fn, m, n, mu):
     return second - mean * mean
 
 
+#: most p-subsets `brute_subgraph_count` materializes; its callers stay under
+#: 2e5, and 3.3e8 (C(300, 4)) exhausted the memory of the test process
+BRUTE_SUBSET_CAP = 10**6
+
+
 def brute_subgraph_count(points, pat, t):
     """Reference count over every p-subset of the points.
 
     Each subset's pair bits are read from the full squared-distance matrix and
     matched against the codes of every relabelling of the pattern's adjacency.
+    Raises ValueError above ``BRUTE_SUBSET_CAP`` subsets.
     """
     pts = np.asarray(points, dtype=float)
     p = pat.p
+    if math.comb(len(pts), p) > BRUTE_SUBSET_CAP:
+        raise ValueError(f"C({len(pts)}, {p}) subsets exceed the brute-force cap "
+                         f"{BRUTE_SUBSET_CAP}")
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
     adj = (d2 > 0.0) & (d2 < t * t)
     pairs = list(itertools.combinations(range(p), 2))

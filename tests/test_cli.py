@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from ustatkit.cli import canonical_json, main
+from ustatkit import cli
+from ustatkit.cli import build_parser, canonical_json, main
 
 from helpers import shift_instance
 
@@ -18,7 +20,11 @@ def files(tmp_path):
     mpath = tmp_path / "M.json"
     kpath.write_text(json.dumps(kernel))
     mpath.write_text(json.dumps(measure))
-    return {"kernel": str(kpath), "measure": str(mpath), "dir": tmp_path}
+    # the top Hoeffding level of the kernel: degenerate
+    dpath = tmp_path / "D.json"
+    dpath.write_text(json.dumps({"order": 2, "alphabet": 2, "values": [0.5, -0.5, -0.5, 0.5]}))
+    return {"kernel": str(kpath), "measure": str(mpath), "degenerate": str(dpath),
+            "dir": tmp_path}
 
 
 def _read(path):
@@ -51,7 +57,7 @@ class TestDecompose:
         psi2 = doc["result"]["psi"][2]
         assert psi2 == [[0.5, -0.5], [-0.5, 0.5]]
         assert doc["result"]["variance_hoeffding"] == pytest.approx(1.5)
-        assert doc["config"]["seed"] == 0
+        assert "seed" not in doc["config"]
 
     def test_decomposes_once(self, files, decompose_calls):
         assert main(["decompose", "--kernel", files["kernel"],
@@ -161,7 +167,17 @@ class TestBound:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["total"] > 0
-        assert doc["result"]["constant_mode"] == "exact-finite-n"
+        assert doc["config"]["profile"] == "1,1,1"
+        assert sorted(doc["result"]) == ["extras", "terms", "total"]
+
+    @pytest.mark.parametrize("variant", ["b1", "b2"])
+    def test_wasserstein_variants_take_no_profile(self, files, capsys, variant):
+        argv = ["bound", "--kernel", files["degenerate"], "--measure", files["measure"],
+                "--n", "20", "--variant", variant]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["profile"] is None
+        assert main(argv + ["--profile", "1,1,1"]) == 2
+        assert "field 'profile'" in capsys.readouterr().err
 
 
 FIELD_ARGVS = [
@@ -247,3 +263,94 @@ class TestSeedRange:
                     "--ns", "64,128,256,512", "--reps", "100"]
         assert main(argv + ["--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decompose", "contract", "bound"])
+    def test_seed_is_a_usage_error_where_nothing_is_drawn(self, files, command):
+        argv = {"decompose": ["--kernel", files["kernel"]],
+                "contract": ["--psi", files["kernel"], "--phi", files["kernel"],
+                             "--r", "1", "--l", "1"],
+                "bound": ["--kernel", files["kernel"], "--n", "20"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--measure", files["measure"], "--seed", "1"])
+        assert exc.value.code == 2
+
+
+def _write(path, doc):
+    # json.dumps writes a non-finite float as NaN or Infinity, which json.load reads back
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(("case", "message"), [
+        ("kappa-nan", "kappa_2"),
+        ("kappa-array", "JSON object"),
+        ("measure-nan", "weights must be finite"),
+        ("kernel-nan", "kernel values must be finite"),
+        ("mc-zero", "mc"),
+        ("mc-negative", "mc"),
+    ])
+    def test_exit_code_and_message(self, files, tmp_path, capsys, case, message):
+        kernel, measure, tail = files["degenerate"], files["measure"], []
+        if case == "kappa-nan":
+            tail = ["--kappa", _write(tmp_path / "kappa.json", {"2": float("nan")})]
+        elif case == "kappa-array":
+            tail = ["--kappa", _write(tmp_path / "kappa.json", [1.0, 2.0])]
+        elif case == "measure-nan":
+            measure = _write(tmp_path / "M.json", {"weights": [float("nan"), 1.0]})
+        elif case == "kernel-nan":
+            kernel = _write(tmp_path / "K.json", {"order": 1, "alphabet": 2,
+                                                  "values": [float("nan"), 1.0]})
+        if case.startswith("mc"):
+            argv = ["product-check", "--psi", kernel, "--phi", kernel, "--n", "40",
+                    "--mc", "0" if case == "mc-zero" else "-3"]
+        else:
+            argv = ["bound", "--kernel", kernel, "--n", "20", "--variant", "b1"]
+        assert main(argv + ["--measure", measure] + tail) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestEveryOptionIsRead:
+    """Each parsed option is read by its subcommand: an option that is only
+    echoed into the report's config does nothing."""
+
+    @staticmethod
+    def _options_read(argv):
+        read = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        args = build_parser().parse_args(argv, namespace=Recorder())
+        options = set(vars(args)) - {"command", "out", "csv", "dump"}
+        read.clear()
+        cli._HANDLERS[args.command](args)
+        return options, read
+
+    def test_no_option_is_only_echoed(self, files, tmp_path):
+        k, d, m = files["kernel"], files["degenerate"], files["measure"]
+        sweep = ["geomgraph", "--pattern", "edge", "--ns", "16,32,64,128", "--reps", "100"]
+        runs = {
+            "decompose": [["--kernel", k, "--measure", m, "--n", "4"]],
+            "contract": [["--psi", k, "--phi", k, "--r", "1", "--l", "1", "--measure", m]],
+            "product-check": [["--psi", d, "--phi", d, "--n", "30", "--mc", "20",
+                               "--measure", m]],
+            "bound": [["--kernel", d, "--measure", m, "--n", "20", "--variant", "b1"],
+                      ["--kernel", k, "--measure", m, "--n", "20", "--variant", "general-B"]],
+            "simulate": [["--kernel", k, "--measure", m, "--n", "10", "--reps", "100",
+                          "--dump", str(tmp_path / "dump.txt")]],
+            "geomgraph": [["--density", "uniform-box", "--dim", "2", "--regime", "C4",
+                           "--rho", "1.0"],
+                          ["--density", "gaussian", "--dim", "1", "--regime", "C3",
+                           "--beta", "0.5"]],
+        }
+        for command, argvs in runs.items():
+            options, read = set(), set()
+            for argv in argvs:
+                argv = sweep + argv if command == "geomgraph" else [command, *argv]
+                parsed, seen = self._options_read(argv)
+                options |= parsed
+                read |= seen
+            assert options <= read, (command, sorted(options - read))

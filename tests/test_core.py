@@ -18,6 +18,12 @@ class TestDiscreteMeasure:
         with pytest.raises(ParameterError):
             DiscreteMeasure(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]])
+    def test_rejects_non_finite_weights(self, weights):
+        # every comparison with NaN is False, so no other check catches it
+        with pytest.raises(ParameterError, match="weights must be finite"):
+            DiscreteMeasure(np.array(weights))
+
     def test_uniform(self):
         mu = DiscreteMeasure.uniform(4)
         assert mu.alphabet_size == 4
@@ -32,6 +38,12 @@ class TestSymmetricKernel:
     def test_rejects_non_cube(self):
         with pytest.raises(ParameterError):
             SymmetricKernel(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [[np.nan, 1.0], [1.0, 0.0]],
+                                        [[0.0, np.inf], [np.inf, 0.0]]])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ParameterError, match="kernel values must be finite"):
+            SymmetricKernel(np.array(values))
 
     def test_values_are_immutable(self):
         k = SymmetricKernel(np.eye(2))

@@ -139,6 +139,15 @@ class TestVerifyProductFormula:
             verify_product_formula(psi, psi, 12, mu)
         assert verify_product_formula(psi, psi, 12, mu, mc=200, seed=1) <= 1e-8
 
+    @pytest.mark.parametrize("mc", [0, -3])
+    def test_needs_a_sampled_count_vector(self, mc):
+        # mc = 0 checked nothing and reported a zero residual
+        rng = np.random.default_rng(48)
+        mu = random_measure(rng, 4)
+        psi = random_degenerate(rng, 2, 4, mu)
+        with pytest.raises(ParameterError, match="mc"):
+            verify_product_formula(psi, psi, 12, mu, mc=mc, seed=1)
+
 
 class TestPrefactorRatio:
     def test_hand_example(self):
