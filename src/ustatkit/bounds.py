@@ -10,9 +10,11 @@ bounds that keep only the diagonal contractions share one
 `verify_contraction_inequalities`) makes each term of the A1 aggregate at most
 the matching term of A2, so A1 <= A2 and b1 <= b2: the dominant, general-B
 and multivariate bounds read A1, and b2 and A2 remain reported quantities.
-The general bound reads `contraction_aggregates` on the Hoeffding levels of
-the kernel; the projection contractions of the geometric application are a
-separate quantity, `projection_contraction_bound`, that no bound reads.  The
+The general and dominant bounds decompose their kernel once and read its
+levels, level norms, variance and rank from that `HoeffdingSet`; the general
+bound reads `contraction_aggregates` on those levels.  The projection
+contractions of the geometric application are a separate quantity of a
+`HoeffdingSet`, `projection_contraction_bound`, that no bound reads.  The
 order-dependent constants kappa_p of the underlying exchangeable-pair argument
 are configuration inputs (default 1.0, flagged), and each report keeps the
 kappa contribution as a separate term so results stay interpretable under any
@@ -35,7 +37,7 @@ from .core import (DiscreteMeasure, SymmetricKernel, is_degenerate, lp_norm,
                    tensor_inner, tensor_lp_norm)
 from .contractions import _contraction_table
 from .errors import ContractViolationError, ParameterError, PreconditionError
-from .hoeffding import HoeffdingSet, _rank, _variance, compute_g, decompose
+from .hoeffding import HoeffdingSet, compute_g, decompose, hoeffding_rank, variance
 from .product import _overlaps, binom, prefactor_ratio
 
 #: coefficient of the contraction block in the one-dimensional bounds
@@ -259,11 +261,10 @@ def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     if l2 <= 0.0:
         raise PreconditionError("kernel must have positive variance")
     hs = decompose(psi.scaled(1.0 / l2), mu)
-    m = _rank(hs, mu)
+    m = hoeffding_rank(hs)
     if m is None:
         raise PreconditionError("kernel has no active decomposition level")
-    norms = [lp_norm(hs.psi_kernel(s), mu, 2.0) if s >= 1 else 0.0
-             for s in range(p + 1)]
+    norms = hs.psi_norms
 
     # b1 <= b2 term by term, so the rank-m bound is b1
     y, _ = bound_degenerate_1d(hs.psi_kernel(m), mu, n, kappa)
@@ -285,7 +286,7 @@ def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     extras = {
         "rank": m,
         "remainder_kernel_free": remainder_free,
-        "level_norms": norms[1:],
+        "level_norms": list(norms[1:]),
         "kappa_provenance": y.extras["kappa_provenance"],
     }
     return _report(terms=terms, extras=extras)
@@ -393,11 +394,10 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
     )
 
 
-def projection_contraction_bound(hs: HoeffdingSet, mu: DiscreteMeasure,
-                                 i: int, k: int, s: int, l: int) -> float:
+def projection_contraction_bound(hs: HoeffdingSet, i: int, k: int, s: int, l: int) -> float:
     """The paper's projection-contraction quantity of levels (i, k) at (s, l).
 
-    Evaluates ``max ||g_i *_r^t g_k||`` over the index set
+    Evaluates ``max ||g_i *_r^t g_k||`` in L2(``hs.mu``) over the index set
     ``{(r, t): 0 <= t <= r <= s, t <= l, r - t <= s - l}``.  The geometric
     application uses it in place of the level contraction
     ``||psi_i *_s^l psi_k||``, which it dominates only up to an
@@ -408,7 +408,7 @@ def projection_contraction_bound(hs: HoeffdingSet, mu: DiscreteMeasure,
         raise ParameterError(f"levels must lie in [1, {p}], got i={i}, k={k}")
     if not (0 <= l <= s <= min(i, k)):
         raise ParameterError(f"need 0 <= l <= s <= min(i, k), got s={s}, l={l}")
-    table = _contraction_table(hs.g_kernel(i), hs.g_kernel(k), mu)
+    table = _contraction_table(hs.g_kernel(i), hs.g_kernel(k), hs.mu)
     return max(table[(r, t)].l2_norm for r in range(0, s + 1) for t in range(0, r + 1)
                if t <= l and r - t <= s - l)
 
@@ -434,7 +434,7 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     if n < 2 * p:
         raise ParameterError(f"need n >= 2p = {2 * p}, got {n}")
     hs = decompose(psi, mu)
-    var_n, _ = _variance(hs, mu, n)
+    var_n, _ = variance(hs, n)
     if var_n <= 0.0:
         raise PreconditionError("statistic must have positive variance")
     sigma = math.sqrt(var_n)
@@ -442,7 +442,7 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     unit_norms = [0.0] * (p + 1)  # L2 norms of the normalized level kernels
     for s in range(1, p + 1):
         unit_norms[s] = (math.sqrt(binom(n, s)) * binom(n - s, p - s)
-                         * lp_norm(hs.psi_kernel(s), mu, 2.0) / sigma)
+                         * hs.psi_norms[s] / sigma)
     total = sum(v * v for v in unit_norms[1:])
     if abs(total - 1.0) > 1e-9:
         raise ContractViolationError(

@@ -21,15 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, geomgraph, hoeffding, montecarlo
-from .core import DiscreteMeasure, SymmetricKernel, _defect, lp_norm
+from .core import DiscreteMeasure, SymmetricKernel, _defect, lp_norm, tensor_lp_norm
 from .contractions import contract
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    ParameterError,
-    UstatError,
-)
-from .product import _residual, product_kernels
+from .errors import CapacityError, ContractViolationError, ParameterError, UstatError
+from .product import product_kernels, verify_product_formula
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,13 +86,26 @@ def _load_json(path: str, what: str) -> dict:
     return doc
 
 
+def _field(doc: dict, key: str, convert, what: str, path: str):
+    # one field of an input file, converted; a missing or mistyped field is
+    # a validation problem that names the field
+    if key not in doc:
+        raise ParameterError(f"{what} file {path!r} is missing field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} file {path!r}: field {key!r} is invalid: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def load_kernel(path: str) -> SymmetricKernel:
     doc = _load_json(path, "kernel")
-    for key in ("order", "alphabet", "values"):
-        if key not in doc:
-            raise ParameterError(f"kernel file {path!r} is missing field {key!r}")
-    p, m = int(doc["order"]), int(doc["alphabet"])
-    values = np.asarray(doc["values"], dtype=float)
+    p = _field(doc, "order", int, "kernel", path)
+    m = _field(doc, "alphabet", int, "kernel", path)
+    values = _field(doc, "values", _floats, "kernel", path)
     if values.size != m**p:
         raise ParameterError(
             f"kernel file {path!r}: field 'values' must hold {m}^{p} entries"
@@ -107,18 +115,14 @@ def load_kernel(path: str) -> SymmetricKernel:
 
 def load_measure(path: str) -> DiscreteMeasure:
     doc = _load_json(path, "measure")
-    if "weights" not in doc:
-        raise ParameterError(f"measure file {path!r} is missing field 'weights'")
-    return DiscreteMeasure(np.asarray(doc["weights"], dtype=float))
+    return DiscreteMeasure(_field(doc, "weights", _floats, "measure", path))
 
 
 def load_pattern(path: str) -> geomgraph.GraphPattern:
     doc = _load_json(path, "pattern")
-    for key in ("p", "adjacency"):
-        if key not in doc:
-            raise ParameterError(f"pattern file {path!r} is missing field {key!r}")
-    adjacency = np.asarray(doc["adjacency"])
-    if adjacency.shape != (int(doc["p"]), int(doc["p"])):
+    p = _field(doc, "p", int, "pattern", path)
+    adjacency = _field(doc, "adjacency", np.asarray, "pattern", path)
+    if adjacency.shape != (p, p):
         raise ParameterError(f"pattern file {path!r}: adjacency shape mismatch")
     return geomgraph.GraphPattern(adjacency, name=os.path.basename(path))
 
@@ -148,21 +152,17 @@ def _cmd_decompose(args) -> dict:
     mu = load_measure(args.measure)
     hs = hoeffding.decompose(kernel, mu)
     result = {
-        "g_norms": [abs(float(hs.g[0]))] + [
-            lp_norm(hs.g_kernel(k), mu, 2.0) for k in range(1, kernel.order + 1)
-        ],
-        "psi_norms": [abs(float(hs.psi[0]))] + [
-            lp_norm(hs.psi_kernel(s), mu, 2.0) for s in range(1, kernel.order + 1)
-        ],
+        "g_norms": [tensor_lp_norm(g, mu, 2.0) for g in hs.g],
+        "psi_norms": hs.psi_norms,
         "degeneracy_defects": [0.0] + [
             float(np.max(np.abs(_defect(hs.psi[s], mu))))
             for s in range(1, kernel.order + 1)
         ],
         "psi": [float(hs.psi[0])] + [hs.psi[s].tolist() for s in range(1, kernel.order + 1)],
-        "hoeffding_rank": hoeffding._rank(hs, mu),
+        "hoeffding_rank": hoeffding.hoeffding_rank(hs),
     }
     if args.n is not None:
-        v_h, v_g = hoeffding._variance(hs, mu, args.n)
+        v_h, v_g = hoeffding.variance(hs, args.n)
         result["variance_hoeffding"] = v_h
         result["variance_g"] = v_g
     return result
@@ -187,7 +187,7 @@ def _cmd_product_check(args) -> dict:
     phi = load_kernel(args.phi)
     mu = load_measure(args.measure)
     pk = product_kernels(psi, phi, args.n, mu)
-    residual = _residual(pk, psi, phi, mu, args.mc, args.seed)
+    residual = verify_product_formula(pk, args.mc, args.seed)
     per_t = {}
     for t, level in enumerate(pk.levels):
         if isinstance(level, float):
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ParameterError, UstatError, OSError, ValueError) as exc:
+    except (UstatError, OSError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

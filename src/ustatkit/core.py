@@ -225,6 +225,5 @@ def _defect(values: np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
     return np.tensordot(mu.weights, values, axes=([0], [0]))
 
 
-def is_degenerate(kernel: SymmetricKernel, mu: DiscreteMeasure,
-                  tol: float = DEGENERACY_TOL) -> bool:
-    return float(np.max(np.abs(degeneracy_defect(kernel, mu)))) <= tol
+def is_degenerate(kernel: SymmetricKernel, mu: DiscreteMeasure) -> bool:
+    return float(np.max(np.abs(degeneracy_defect(kernel, mu)))) <= DEGENERACY_TOL

@@ -569,7 +569,6 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
         if sd > 0:
             rep = ReplicateSet(
                 values=(counts - mean) / sd,
-                n=n,
                 seed=seed,
                 normalization=NormalizationRecord(mean=mean, sd=sd, source="empirical"),
                 slot=ni + 1,

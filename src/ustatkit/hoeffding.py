@@ -5,7 +5,8 @@ of degenerate statistics of orders 0..p.  Both classical constructions of
 the degenerate kernels (the alternating-sum formula over the projection
 functions and the order recursion) are computed and cross-checked entrywise.
 `decompose` centres the kernel once, so a constant shift moves neither the
-levels psi_s (s >= 1) nor, through `_level_variances`, the variance or rank.
+levels psi_s (s >= 1) nor their stored norms, from which `variance` and
+`hoeffding_rank` read a `HoeffdingSet` without recomputing anything.
 U-statistic values come from symbol counts through one vectorized evaluator,
 `ustat_values_from_count_matrix`, which the product check and the Monte Carlo
 harness share.
@@ -47,14 +48,17 @@ class HoeffdingSet:
 
     ``g[k]`` and ``psi[s]`` are raw tensors of order k and s; the order-0
     entries are 0-d arrays.  ``g[p]`` equals the source kernel and ``psi[0]``
-    equals ``g[0]`` (the expectation of the source kernel).  ``c[k]`` are the
-    projections of the centred kernel ``g[p] - g[0]``.
+    equals ``g[0]`` (the expectation of the source kernel).  ``psi_norms[s]``
+    is the L2(mu) norm of ``psi[s]`` and ``c_norms[s]`` that of ``c_s - c_0``,
+    the projections of the centred kernel ``g[p] - g[0]`` (0 at s = 0).
     """
 
     source: SymmetricKernel
+    mu: DiscreteMeasure
     g: tuple
     psi: tuple
-    c: tuple
+    psi_norms: tuple
+    c_norms: tuple
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -145,7 +149,10 @@ def decompose(kernel: SymmetricKernel, mu: DiscreteMeasure) -> HoeffdingSet:
                 f"psi_{s} fails the degeneracy test: defect {defect:g}"
             )
 
-    return HoeffdingSet(source=kernel, g=tuple(g), psi=tuple(psi), c=tuple(c))
+    psi_norms = tuple(tensor_lp_norm(level, mu, 2.0) for level in psi)
+    c_norms = (0.0,) + tuple(tensor_lp_norm(c[s] - c0, mu, 2.0) for s in range(1, p + 1))
+    return HoeffdingSet(source=kernel, mu=mu, g=tuple(g), psi=tuple(psi),
+                        psi_norms=psi_norms, c_norms=c_norms)
 
 
 def _multiset_terms(values: np.ndarray):
@@ -231,41 +238,28 @@ def reconstruct_check(kernel: SymmetricKernel, mu: DiscreteMeasure,
     return abs(lhs - rhs)
 
 
-def variance(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int):
+def variance(hs: HoeffdingSet, n: int):
     """Variance of J_p(psi) by the two classical formulas.
 
-    Returns ``(v_hoeffding, v_g)``: the degenerate-kernel form and the
-    projection-function form.  Both are computed exactly and must agree to
-    relative 1e-9; both must dominate the ``C(n, p) Var(psi)`` lower bound.
+    Returns ``(v_hoeffding, v_g)``: the degenerate-kernel form, from the
+    level norms ``hs.psi_norms``, and the projection-function form, from
+    ``hs.c_norms``.  Both must agree to relative 1e-9; both must dominate the
+    ``C(n, p) Var(psi)`` lower bound.
     """
-    return _variance(decompose(kernel, mu), mu, n)
-
-
-def _level_variances(hs: HoeffdingSet, mu: DiscreteMeasure):
-    """``(||psi_s||^2, ||c_s - c_0||^2)`` for s = 1..p: Var(psi_s) and Var(g_s), shift-free."""
-    c0 = float(hs.c[0])
-    return [(tensor_lp_norm(hs.psi[s], mu, 2.0) ** 2,
-             tensor_lp_norm(hs.c[s] - c0, mu, 2.0) ** 2)
-            for s in range(1, hs.order + 1)]
-
-
-def _variance(hs: HoeffdingSet, mu: DiscreteMeasure, n: int):
-    # `variance` on an existing decomposition of its kernel
     p = hs.order
     if n < p:
         raise ParameterError(f"sample size {n} is below the kernel order {p}")
-    levels = _level_variances(hs, mu)
-    v_h = sum(math.comb(n - s, p - s) ** 2 * math.comb(n, s) * var_psi
-              for s, (var_psi, _) in enumerate(levels, 1))
-    v_g = math.comb(n, p) * sum(math.comb(p, k) * math.comb(n - p, p - k) * var_g
-                                for k, (_, var_g) in enumerate(levels, 1))
+    v_h = sum(math.comb(n - s, p - s) ** 2 * math.comb(n, s) * hs.psi_norms[s] ** 2
+              for s in range(1, p + 1))
+    v_g = math.comb(n, p) * sum(math.comb(p, k) * math.comb(n - p, p - k) * hs.c_norms[k] ** 2
+                                for k in range(1, p + 1))
 
     if abs(v_h - v_g) > 1e-9 * (1.0 + abs(v_g)):
         raise ContractViolationError(
             f"variance formulas disagree: {v_h!r} vs {v_g!r}"
         )
     # g_p is the kernel itself, so its variance gives C(n, p) Var(psi)
-    lower = math.comb(n, p) * levels[-1][1]
+    lower = math.comb(n, p) * hs.c_norms[p] ** 2
     if v_h < lower - 1e-9 * (1.0 + abs(lower)):
         raise ContractViolationError(
             f"variance {v_h!r} fell below its lower bound {lower!r}"
@@ -273,22 +267,16 @@ def _variance(hs: HoeffdingSet, mu: DiscreteMeasure, n: int):
     return v_h, v_g
 
 
-def hoeffding_rank(kernel: SymmetricKernel, mu: DiscreteMeasure,
-                   tol: float = RANK_TOL) -> Optional[int]:
+def hoeffding_rank(hs: HoeffdingSet) -> Optional[int]:
     """Smallest order with an active decomposition level, or None if all vanish.
 
     The levels come from the centred kernel, so a constant shift does not
-    move the rank.  The rank computed from the degenerate kernels must match
-    the one computed from the projection-function variances.
+    move the rank.  The rank read from the degenerate kernels must match
+    the one read from the projection-function variances.
     """
-    return _rank(decompose(kernel, mu), mu, tol)
-
-
-def _rank(hs: HoeffdingSet, mu: DiscreteMeasure, tol: float = RANK_TOL) -> Optional[int]:
-    # `hoeffding_rank` on an existing decomposition of its kernel
-    levels = _level_variances(hs, mu)
-    rank_psi = next((s for s, (var, _) in enumerate(levels, 1) if var > tol), None)
-    rank_g = next((s for s, (_, var) in enumerate(levels, 1) if var > tol), None)
+    levels = range(1, hs.order + 1)
+    rank_psi = next((s for s in levels if hs.psi_norms[s] ** 2 > RANK_TOL), None)
+    rank_g = next((s for s in levels if hs.c_norms[s] ** 2 > RANK_TOL), None)
     if rank_psi != rank_g:
         raise ContractViolationError(
             f"rank mismatch between constructions: {rank_psi} vs {rank_g}"

@@ -31,7 +31,7 @@ from scipy.special import ndtri
 
 from .core import ContinuousKernelSpec, DiscreteMeasure, SymmetricKernel
 from .errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
-from .hoeffding import _variance, decompose, ustat_values_from_count_matrix
+from .hoeffding import decompose, ustat_values_from_count_matrix, variance
 
 #: direct p-subset enumeration caps for continuous kernels
 CONTINUOUS_N_CAP = {1: 10**6, 2: 10**4, 3: 500}
@@ -210,7 +210,6 @@ class ReplicateSet:
     """Normalized replicate values, how they were normalized, and their stream slot."""
 
     values: np.ndarray
-    n: int
     seed: int
     normalization: NormalizationRecord
     slot: int = 0
@@ -305,7 +304,7 @@ def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
     if normalization == "exact":
         hs = decompose(kernel, mu)
         mean = math.comb(n, kernel.order) * float(hs.g[0])
-        var_n, _ = _variance(hs, mu, n)
+        var_n, _ = variance(hs, n)
         if var_n <= 0.0:
             raise PreconditionError("exact normalization needs positive variance")
         sd = math.sqrt(var_n)
@@ -315,7 +314,7 @@ def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
         if sd <= 0.0:
             raise PreconditionError("replicates are constant; cannot normalize empirically")
     rec = NormalizationRecord(mean=mean, sd=sd, source=normalization)
-    return ReplicateSet(values=(raw - mean) / sd, n=n, seed=seed, normalization=rec)
+    return ReplicateSet(values=(raw - mean) / sd, seed=seed, normalization=rec)
 
 
 @functools.lru_cache(maxsize=16)

@@ -4,8 +4,8 @@ The product of two degenerate statistics of orders p and q decomposes into
 degenerate statistics of orders p + q - t for t = 0..2 min(p, q), with kernels
 built from binomially weighted top-level projections of symmetrized
 contractions.  This module materializes those kernels exactly, verifies the
-identity on every distinct symbol-count vector (or on sampled ones), and
-evaluates the combinatorial ratio that turns the binomial prefactors into
+identity on every distinct symbol-count vector (or on sampled ones) from the
+`ProductKernelSet` it is handed, and evaluates the combinatorial ratio that turns the binomial prefactors into
 explicit n-powers.  `_overlaps` is the one definition of the admissible
 overlap sizes r of a level t, shared with the bounds.
 """
@@ -51,16 +51,19 @@ def multinomial(n: int, parts) -> float:
 
 @dataclass(frozen=True)
 class ProductKernelSet:
-    """Decomposition level kernels for t = 0..2 min(p, q), plus their n.
+    """Decomposition level kernels for t = 0..2 min(p, q) and what built them.
 
     ``levels[t]`` is a SymmetricKernel of order p + q - t, except the order-0
     entry (reached only when p = q and t = 2p), which is a plain float.
+    ``psi``, ``phi``, ``n`` and ``mu`` are the factors, sample size and
+    measure the levels were built for.
     """
 
     levels: tuple
     n: int
-    p: int
-    q: int
+    psi: SymmetricKernel
+    phi: SymmetricKernel
+    mu: DiscreteMeasure
 
 
 def _overlaps(t: int, p: int, q: int) -> range:
@@ -112,13 +115,12 @@ def product_kernels(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
     _check_product_inputs(psi, phi, n, mu)
     p, q = psi.order, phi.order
     levels = tuple(_level(psi, phi, n, t, mu)[0] for t in range(0, 2 * min(p, q) + 1))
-    return ProductKernelSet(levels=levels, n=n, p=p, q=q)
+    return ProductKernelSet(levels=levels, n=n, psi=psi, phi=phi, mu=mu)
 
 
-def verify_product_formula(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
-                           mu: DiscreteMeasure, mc: Optional[int] = None,
+def verify_product_formula(pk: ProductKernelSet, mc: Optional[int] = None,
                            seed: int = 0) -> float:
-    """Max residual of the product identity over samples of length n.
+    """Max residual of the product identity of ``pk`` over samples of length ``pk.n``.
 
     Both sides depend on a sample only through its symbol counts, so each
     kernel is evaluated once on a count matrix.  When all m^n samples fit the
@@ -126,13 +128,8 @@ def verify_product_formula(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
     it holds ``mc`` count vectors (requested explicitly) sampled from the
     stream (seed, PRODUCT_CHECK).
     """
-    return _residual(product_kernels(psi, phi, n, mu), psi, phi, mu, mc, seed)
-
-
-def _residual(pk: ProductKernelSet, psi: SymmetricKernel, phi: SymmetricKernel,
-              mu: DiscreteMeasure, mc: Optional[int], seed: int) -> float:
-    """`verify_product_formula` for the already built product kernels ``pk``."""
-    m, n = mu.alphabet_size, pk.n
+    mu, n = pk.mu, pk.n
+    m = mu.alphabet_size
     if mc is not None and mc < 1:
         raise ParameterError(f"mc needs at least 1 sampled count vector, got {mc}")
     if m**n <= ENUMERATION_CAP:
@@ -144,8 +141,8 @@ def _residual(pk: ProductKernelSet, psi: SymmetricKernel, phi: SymmetricKernel,
         )
     else:
         counts = stream(seed, Purpose.PRODUCT_CHECK).multinomial(n, mu.weights, size=int(mc))
-    lhs = (ustat_values_from_count_matrix(psi.values, counts)
-           * ustat_values_from_count_matrix(phi.values, counts))
+    lhs = (ustat_values_from_count_matrix(pk.psi.values, counts)
+           * ustat_values_from_count_matrix(pk.phi.values, counts))
     rhs = np.zeros(counts.shape[0])
     for level in pk.levels:
         if isinstance(level, float):

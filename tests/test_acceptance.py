@@ -93,7 +93,7 @@ def test_c01_product_formula_identity():
         q = int(rng.integers(1, 3))
         psi = random_degenerate(rng, p, m, mu)
         phi = random_degenerate(rng, q, m, mu)
-        worst = max(worst, uk.verify_product_formula(psi, phi, 5, mu))
+        worst = max(worst, uk.verify_product_formula(uk.product_kernels(psi, phi, 5, mu)))
     elapsed = time.time() - t0
     _emit(1, "product decomposition identity, 20 degenerate pairs",
           worst <= 1e-8 and elapsed <= 10.0,
@@ -147,7 +147,7 @@ def test_c03_variance_formulas_agree():
         n = int(rng.integers(p, p + 12))
         mu = random_measure(rng, m)
         kernel = random_kernel(rng, p, m)
-        v_h, v_g = uk.variance(kernel, mu, n)
+        v_h, v_g = uk.variance(uk.decompose(kernel, mu), n)
         worst_rel = max(worst_rel, abs(v_h - v_g) / (1.0 + abs(v_g)))
         g0 = float(uk.compute_g(kernel, mu, 0))
         lower = math.comb(n, p) * (uk.lp_norm(kernel, mu, 2.0) ** 2 - g0 * g0)

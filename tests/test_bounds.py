@@ -294,7 +294,7 @@ class TestProjectionContractionBound:
         rng = np.random.default_rng(77)
         mu = random_measure(rng, 3)
         hs = decompose(random_kernel(rng, 3, 3), mu)
-        val = projection_contraction_bound(hs, mu, 2, 2, 2, 2)
+        val = projection_contraction_bound(hs, 2, 2, 2, 2)
         expected = max(
             contract(hs.g_kernel(2), hs.g_kernel(2), t, t, mu).l2_norm for t in range(3)
         )
@@ -304,7 +304,7 @@ class TestProjectionContractionBound:
         rng = np.random.default_rng(78)
         mu = random_measure(rng, 3)
         hs = decompose(random_kernel(rng, 2, 3), mu)
-        val = projection_contraction_bound(hs, mu, 1, 2, 0, 0)
+        val = projection_contraction_bound(hs, 1, 2, 0, 0)
         expected = lp_norm(hs.g_kernel(1), mu, 2.0) * lp_norm(hs.g_kernel(2), mu, 2.0)
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -323,7 +323,7 @@ class TestProjectionContractionBound:
                             exact = contract(
                                 hs.psi_kernel(i), hs.psi_kernel(k), s, l, mu
                             ).l2_norm
-                            dom = projection_contraction_bound(hs, mu, i, k, s, l)
+                            dom = projection_contraction_bound(hs, i, k, s, l)
                             if dom <= 1e-12:
                                 assert exact <= 1e-9
                             elif exact > 1e-12:
@@ -469,7 +469,7 @@ class TestExactLaw:
         var = float(weights @ (atoms - mean) ** 2)
         assert mean == pytest.approx(math.comb(n, p) * float(decompose(k, mu).g[0]),
                                      rel=1e-9, abs=1e-9)
-        assert var == pytest.approx(variance(k, mu, n)[0], rel=1e-9)
+        assert var == pytest.approx(variance(decompose(k, mu), n)[0], rel=1e-9)
         w = (atoms - mean) / math.sqrt(var)
         gap = max(abs(float(weights @ np.sin(w))),
                   abs(float(weights @ np.cos(w)) - math.exp(-0.5)))

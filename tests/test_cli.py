@@ -289,6 +289,9 @@ class TestInputValidation:
         ("kernel-nan", "kernel values must be finite"),
         ("mc-zero", "mc"),
         ("mc-negative", "mc"),
+        ("kernel-order-null", "field 'order'"),
+        ("measure-weights-object", "field 'weights'"),
+        ("pattern-p-null", "field 'p'"),
     ])
     def test_exit_code_and_message(self, files, tmp_path, capsys, case, message):
         kernel, measure, tail = files["degenerate"], files["measure"], []
@@ -301,12 +304,22 @@ class TestInputValidation:
         elif case == "kernel-nan":
             kernel = _write(tmp_path / "K.json", {"order": 1, "alphabet": 2,
                                                   "values": [float("nan"), 1.0]})
+        elif case == "kernel-order-null":
+            kernel = _write(tmp_path / "K.json", {"order": None, "alphabet": 2,
+                                                  "values": [0.5, -0.5]})
+        elif case == "measure-weights-object":
+            measure = _write(tmp_path / "M.json", {"weights": {"a": 1}})
         if case.startswith("mc"):
             argv = ["product-check", "--psi", kernel, "--phi", kernel, "--n", "40",
-                    "--mc", "0" if case == "mc-zero" else "-3"]
+                    "--mc", "0" if case == "mc-zero" else "-3", "--measure", measure]
+        elif case.startswith("pattern"):
+            pattern = _write(tmp_path / "P.json", {"p": None, "adjacency": [[0, 1], [1, 0]]})
+            argv = ["geomgraph", "--pattern", pattern, "--density", "uniform-box", "--dim", "2",
+                    "--regime", "C4", "--rho", "1.0", "--ns", "16,32,64,128", "--reps", "100"]
         else:
-            argv = ["bound", "--kernel", kernel, "--n", "20", "--variant", "b1"]
-        assert main(argv + ["--measure", measure] + tail) == 2
+            argv = ["bound", "--kernel", kernel, "--n", "20", "--variant", "b1",
+                    "--measure", measure, *tail]
+        assert main(argv) == 2
         assert message in capsys.readouterr().err
 
 

@@ -16,8 +16,9 @@ from ustatkit import (
     ustat_value,
     variance,
 )
+from ustatkit.core import tensor_lp_norm
 from ustatkit.errors import ParameterError
-from ustatkit.hoeffding import hoeffding_sum, ustat_values_from_count_matrix
+from ustatkit.hoeffding import _projections, hoeffding_sum, ustat_values_from_count_matrix
 
 from helpers import (
     all_samples,
@@ -84,6 +85,23 @@ class TestDecompose:
             m = int(rng.integers(2, 4))
             mu = random_measure(rng, m)
             decompose(random_kernel(rng, p, m), mu)
+
+    def test_stored_norms_are_exact(self):
+        # the stored norms are the very floats the level tensors give
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            p = int(rng.integers(1, 5))
+            m = int(rng.integers(2, 4))
+            mu = random_measure(rng, m)
+            k = random_kernel(rng, p, m)
+            hs = decompose(k, mu)
+            assert hs.mu is mu
+            assert hs.psi_norms[0] == abs(float(hs.psi[0]))
+            assert hs.c_norms[0] == 0.0
+            c = _projections(k.values - float(hs.g[0]), mu)
+            for s in range(1, p + 1):
+                assert hs.psi_norms[s] == lp_norm(hs.psi_kernel(s), mu, 2.0)
+                assert hs.c_norms[s] == tensor_lp_norm(c[s] - float(c[0]), mu, 2.0)
 
 
 class TestUstatValue:
@@ -181,13 +199,13 @@ class TestReconstruction:
 class TestVariance:
     def test_constant_kernel(self):
         c = SymmetricKernel(np.full((2, 2), 7.0))
-        v_h, v_g = variance(c, HALF, 5)
+        v_h, v_g = variance(decompose(c, HALF), 5)
         assert v_h == pytest.approx(0.0, abs=1e-12)
         assert v_g == pytest.approx(0.0, abs=1e-12)
 
     def test_iid_sum(self):
         k = SymmetricKernel(np.array([1.0, -1.0]))
-        v_h, v_g = variance(k, HALF, 10)
+        v_h, v_g = variance(decompose(k, HALF), 10)
         assert v_h == pytest.approx(10.0, rel=1e-12)
         assert v_g == pytest.approx(10.0, rel=1e-12)
 
@@ -196,13 +214,13 @@ class TestVariance:
         for _ in range(5):
             k = random_kernel(rng, 2, 2)
             mu = random_measure(rng, 2)
-            v_h, _ = variance(k, mu, 4)
+            v_h, _ = variance(decompose(k, mu), 4)
             oracle = exhaustive_variance(lambda x: ustat_direct(k, x), 2, 4, mu)
             assert v_h == pytest.approx(oracle, abs=1e-9 * (1 + abs(oracle)))
 
     def test_rejects_small_sample(self):
         with pytest.raises(ParameterError):
-            variance(IDENT, HALF, 1)
+            variance(decompose(IDENT, HALF), 1)
 
 
 class TestOrthogonality:
@@ -244,7 +262,7 @@ class TestOrthogonality:
             n = int(rng.integers(p, p + 10))
             mu = random_measure(rng, m)
             k = random_kernel(rng, p, m)
-            v_h, _ = variance(k, mu, n)
+            v_h, _ = variance(decompose(k, mu), n)
             g0 = float(compute_g(k, mu, 0))
             lower = math.comb(n, p) * (lp_norm(k, mu, 2.0) ** 2 - g0 * g0)
             assert v_h >= lower - 1e-9 * (1 + abs(lower))
@@ -255,7 +273,7 @@ class TestHoeffdingRank:
         rng = np.random.default_rng(19)
         mu = random_measure(rng, 3)
         psi = random_degenerate(rng, 3, 3, mu)
-        assert hoeffding_rank(psi, mu) == 3
+        assert hoeffding_rank(decompose(psi, mu)) == 3
 
     def test_additive_kernel_has_rank_one(self):
         rng = np.random.default_rng(20)
@@ -264,31 +282,26 @@ class TestHoeffdingRank:
         f -= float(f @ mu.weights)
         vals = f[:, None] + f[None, :]
         k = SymmetricKernel(vals)
-        assert hoeffding_rank(k, mu) == 1
-        # and the first level kernel is f itself
         hs = decompose(k, mu)
+        assert hoeffding_rank(hs) == 1
+        # and the first level kernel is f itself
         assert np.allclose(hs.psi[1], f, atol=1e-12)
 
     def test_zero_kernel_has_no_rank(self):
-        assert hoeffding_rank(SymmetricKernel(np.zeros((2, 2))), HALF) is None
+        assert hoeffding_rank(decompose(SymmetricKernel(np.zeros((2, 2))), HALF)) is None
 
     def test_centering_is_automatic(self):
         rng = np.random.default_rng(21)
         mu = random_measure(rng, 3)
         k = random_kernel(rng, 2, 3)
         shifted = SymmetricKernel(k.values + 5.0)
-        assert hoeffding_rank(k, mu) == hoeffding_rank(shifted, mu)
+        assert hoeffding_rank(decompose(k, mu)) == hoeffding_rank(decompose(shifted, mu))
         # shifts that dwarf the kernel's spread
         for p in (1, 2, 3):
             k, mu = shift_instance(p)
-            rank = hoeffding_rank(k, mu)
+            rank = hoeffding_rank(decompose(k, mu))
             for shift in SHIFTS:
-                assert hoeffding_rank(k.shifted(-shift), mu) == rank
-
-    def test_decomposes_once(self, decompose_calls):
-        rng = np.random.default_rng(22)
-        hoeffding_rank(random_kernel(rng, 3, 3), random_measure(rng, 3))
-        assert decompose_calls == [3]
+                assert hoeffding_rank(decompose(k.shifted(-shift), mu)) == rank
 
 
 class TestShiftedKernels:
@@ -298,8 +311,8 @@ class TestShiftedKernels:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_variance_matches_unshifted(self, p, shift):
         k, mu = shift_instance(p)
-        base, _ = variance(k, mu, 10)
-        v_h, v_g = variance(k.shifted(-shift), mu, 10)
+        base, _ = variance(decompose(k, mu), 10)
+        v_h, v_g = variance(decompose(k.shifted(-shift), mu), 10)
         # storing k + shift rounds each entry by up to 1.1e-16 * shift, which
         # moves the variance itself beyond 1e-9 from a shift of about 1e7
         rel = max(1e-9, 5e-16 * shift)
@@ -333,6 +346,6 @@ class TestShiftedKernels:
             mean += prob * u
             second += prob * u * u
         oracle = float(second - mean * mean)
-        v_h, v_g = variance(kernel, mu, n)
+        v_h, v_g = variance(decompose(kernel, mu), n)
         assert v_h == pytest.approx(oracle, rel=1e-9)
         assert v_g == pytest.approx(oracle, rel=1e-9)

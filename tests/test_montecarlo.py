@@ -49,7 +49,7 @@ COIN = SymmetricKernel(np.array([1.0, -1.0]))
 
 def _normal_repset(r, seed=123):
     values = stream(seed, Purpose.REPLICATE).standard_normal(r)
-    return ReplicateSet(values=values, n=r, seed=seed,
+    return ReplicateSet(values=values, seed=seed,
                         normalization=NormalizationRecord(0.0, 1.0, "exact"))
 
 
@@ -440,7 +440,7 @@ class TestWasserstein:
         assert est.stderr > 0.0
 
     def test_constant_zero_values(self):
-        rep = ReplicateSet(values=np.zeros(5000), n=10, seed=0,
+        rep = ReplicateSet(values=np.zeros(5000), seed=0,
                            normalization=NormalizationRecord(0.0, 1.0, "exact"))
         est = wasserstein_to_normal(rep)
         assert est.value == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.02)
@@ -449,14 +449,14 @@ class TestWasserstein:
         rep = _normal_repset(2000)
         base = wasserstein_to_normal(rep).value
         c = 0.75
-        shifted = ReplicateSet(values=rep.values + c, n=rep.n, seed=rep.seed,
+        shifted = ReplicateSet(values=rep.values + c, seed=rep.seed,
                                normalization=rep.normalization)
         new = wasserstein_to_normal(shifted).value
         assert new <= base + c + 1e-12
         assert new >= c - 2.0 * base
 
     def test_requires_enough_replicates(self):
-        rep = ReplicateSet(values=np.arange(50, dtype=float), n=10, seed=0,
+        rep = ReplicateSet(values=np.arange(50, dtype=float), seed=0,
                            normalization=NormalizationRecord(0.0, 1.0, "exact"))
         with pytest.raises(CapacityError):
             wasserstein_to_normal(rep)

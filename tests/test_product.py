@@ -105,26 +105,26 @@ class TestVerifyProductFormula:
         mu = random_measure(rng, 2)
         psi = random_degenerate(rng, 1, 2, mu)
         phi = random_degenerate(rng, 1, 2, mu)
-        assert verify_product_formula(psi, phi, 2, mu) <= 1e-12
+        assert verify_product_formula(product_kernels(psi, phi, 2, mu)) <= 1e-12
 
     def test_order_two_pair_exhaustive(self):
         rng = np.random.default_rng(46)
         mu = random_measure(rng, 3)
         psi = random_degenerate(rng, 2, 3, mu)
         phi = random_degenerate(rng, 2, 3, mu)
-        assert verify_product_formula(psi, phi, 4, mu) <= 1e-8
+        assert verify_product_formula(product_kernels(psi, phi, 4, mu)) <= 1e-8
 
     def test_zero_kernel_residual_is_zero(self):
         z = SymmetricKernel(np.zeros((2, 2)))
-        assert verify_product_formula(z, z, 4, HALF) == 0.0
+        assert verify_product_formula(product_kernels(z, z, 4, HALF)) == 0.0
 
     def test_residual_scales_with_magnitude(self):
         rng = np.random.default_rng(47)
         mu = random_measure(rng, 3)
         psi = random_degenerate(rng, 2, 3, mu)
         phi = random_degenerate(rng, 2, 3, mu)
-        base = verify_product_formula(psi, phi, 4, mu)
-        big = verify_product_formula(psi.scaled(10.0), phi.scaled(10.0), 4, mu)
+        base = verify_product_formula(product_kernels(psi, phi, 4, mu))
+        big = verify_product_formula(product_kernels(psi.scaled(10.0), phi.scaled(10.0), 4, mu))
         scale = 1.0 + lp_norm(psi.scaled(10.0), mu, 2.0) * lp_norm(phi.scaled(10.0), mu, 2.0)
         assert big <= 1e-8 * scale
         assert base <= 1e-8
@@ -136,8 +136,8 @@ class TestVerifyProductFormula:
         # 4^12 states exceed the cap; sampling mode must be requested
         from ustatkit.errors import CapacityError
         with pytest.raises(CapacityError):
-            verify_product_formula(psi, psi, 12, mu)
-        assert verify_product_formula(psi, psi, 12, mu, mc=200, seed=1) <= 1e-8
+            verify_product_formula(product_kernels(psi, psi, 12, mu))
+        assert verify_product_formula(product_kernels(psi, psi, 12, mu), mc=200, seed=1) <= 1e-8
 
     @pytest.mark.parametrize("mc", [0, -3])
     def test_needs_a_sampled_count_vector(self, mc):
@@ -146,7 +146,7 @@ class TestVerifyProductFormula:
         mu = random_measure(rng, 4)
         psi = random_degenerate(rng, 2, 4, mu)
         with pytest.raises(ParameterError, match="mc"):
-            verify_product_formula(psi, psi, 12, mu, mc=mc, seed=1)
+            verify_product_formula(product_kernels(psi, psi, 12, mu), mc=mc, seed=1)
 
 
 class TestPrefactorRatio:
