@@ -1,7 +1,9 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from scipy import special
 
 from ustatkit import (
     DiscreteMeasure,
@@ -475,6 +477,69 @@ class TestExactLaw:
                   abs(float(weights @ np.cos(w)) - math.exp(-0.5)))
         for variant in ("B", "B'"):
             assert bound_general(k, mu, n, PROFILE, variant=variant).total >= gap
+
+    @pytest.mark.parametrize("n", [12, 20])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_wasserstein_bounds_dominate_the_exact_distance(self, p, n):
+        # b1, b2 and the dominant-level bound against W1(law of W, N(0, 1)) for
+        # the standardized statistic W under its exact law
+        rng = np.random.default_rng(100 + 10 * p + n)
+        mu = random_measure(rng, 3)
+        psi = random_degenerate(rng, p, 3, mu)
+        b1, b2 = bound_degenerate_1d(psi, mu, n)
+        w1 = _w1_to_normal(*_standardized_law(psi, mu, n))
+        assert b1.total >= w1 and b2.total >= w1
+        k = random_kernel(rng, p, 3)
+        assert bound_dominant(k, mu, n).total >= _w1_to_normal(*_standardized_law(k, mu, n))
+
+    @pytest.mark.parametrize("law", ["two-point", "exact"])
+    def test_exact_distance_matches_quadrature(self, law):
+        # a midpoint sum of |F - Phi| with step 1e-5 errs by at most 1e-5 per unit jump
+        if law == "two-point":
+            atoms, weights = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+        else:
+            rng = np.random.default_rng(130)
+            mu = random_measure(rng, 3)
+            atoms, weights = _standardized_law(random_degenerate(rng, 2, 3, mu), mu, 12)
+        h = 1e-5
+        x = np.arange(-15.0, 15.0, h) + 0.5 * h
+        order = np.argsort(atoms)
+        cdf = np.r_[0.0, np.cumsum(weights[order])][
+            np.searchsorted(atoms[order], x, side="right")]
+        quad = float(np.abs(cdf - special.ndtr(x)).sum() * h)
+        assert _w1_to_normal(atoms, weights) == pytest.approx(quad, abs=2e-5)
+
+
+def _standardized_law(kernel, mu, n):
+    atoms, weights = exact_law(kernel, mu, n)
+    mean = float(weights @ atoms)
+    return (atoms - mean) / math.sqrt(float(weights @ (atoms - mean) ** 2)), weights
+
+
+def _w1_to_normal(atoms, weights):
+    """W1 between a finite law and N(0, 1) as the integral of |F - Phi|, in closed form.
+
+    F is constant (c) between consecutive atoms, and there the antiderivative
+    of Phi - c is x Phi(x) + phi(x) - c x, so each piece is split where Phi
+    crosses c and summed in absolute value.
+    """
+    order = np.argsort(atoms)
+    z = atoms[order].tolist()
+    cum = np.cumsum(weights[order]).tolist()
+    normal = statistics.NormalDist()
+
+    def anti(x, c):
+        return x * normal.cdf(x) + normal.pdf(x) - c * x
+
+    # the tails: F = 0 below the first atom, F = 1 above the last
+    total = anti(z[0], 0.0) + anti(-z[-1], 0.0)
+    for a, b, c in zip(z, z[1:], cum):
+        c = min(c, 1.0)
+        cuts = [a, b]
+        if 0.0 < c < 1.0 and a < normal.inv_cdf(c) < b:
+            cuts.insert(1, normal.inv_cdf(c))
+        total += sum(abs(anti(v, c) - anti(u, c)) for u, v in zip(cuts, cuts[1:]))
+    return total
 
 
 class TestOrderDominance:

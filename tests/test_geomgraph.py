@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,134 @@ class TestStrictPairs:
         for t in (1.0, 1.5, 2.0):
             assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
                 _balanced_tree_edge_keys(pts, t)
+
+
+class TestCellGrid:
+    @staticmethod
+    def _configs():
+        # uniform, gaussian and power-of-two lattice points (exact ties at t
+        # and repeats), shifted by 0, +-1e6 or a negative offset, at radii from
+        # 1e-3 up to past the span
+        rng = np.random.default_rng(140)
+        for trial in range(330):
+            n = int(rng.integers(2, 160))
+            t = float(10 ** rng.uniform(-3.0, 0.5))
+            kind = trial % 3
+            if kind == 0:
+                pts = rng.random((n, 2)) * t * rng.uniform(0.5, 12.0)
+            elif kind == 1:
+                pts = rng.standard_normal((n, 2)) * t * rng.uniform(0.2, 4.0)
+            else:
+                h = 2.0 ** int(rng.integers(-10, 2))
+                pts = rng.integers(-6, 7, size=(n, 2)) * h
+                t = h * float(rng.choice([1.0, 1.5, 2.0, 2.5]))
+            yield pts + float(rng.choice([0.0, 1e6, -1e6, -37.25])), t
+
+    def test_pairs_match_the_dense_oracle(self):
+        grids = 0
+        for pts, t in self._configs():
+            cols = [np.ascontiguousarray(pts[:, k]) for k in range(2)]
+            grid = geomgraph._grid_candidates(cols, t)
+            if grid is None:
+                continue
+            grids += 1
+            order, sorted_cols, blocks = grid
+            a, b = (np.concatenate(x) for x in zip(*blocks))
+            assert np.all(a < b)
+            mask = geomgraph._strict_mask(sorted_cols, a, b, t)
+            i, j = order[a[mask]], order[b[mask]]
+            got = _label_keys(np.minimum(i, j), np.maximum(i, j), len(pts))
+            assert got == _dense_edge_keys(pts, t)
+            assert len(set(got)) == len(got)
+        assert grids >= 300
+
+    def test_rounding_margin_keeps_pairs_two_naive_cells_apart(self):
+        # x_a sits just below a cell edge k t of a grid of side exactly t, with
+        # lo < 0 so that fl(x - lo) rounds, and x_b at the largest gap that
+        # still passes the strict test; pairs whose naive cells differ by 2
+        # must still be listed
+        rng = np.random.default_rng(144)
+        hits = 0
+        for _ in range(4000):
+            t = float(rng.uniform(0.01, 1.0))
+            k = int(rng.integers(200, 900))
+            lo = -float(rng.uniform(0.1, 0.9)) * k * t
+            xa = lo + k * t - float(rng.uniform(0.0, 4.0)) * 1e-15 * k * t
+            xb = xa + t
+            while not (xb - xa) ** 2 < t * t:
+                xb = np.nextafter(xb, -np.inf)
+            if math.floor((xb - lo) / t) - math.floor((xa - lo) / t) < 2:
+                continue
+            hits += 1
+            # 300 copies of the leftmost point keep the k + 2 cells under the cap
+            pts = np.zeros((302, 2))
+            pts[:, 0] = lo
+            pts[-2:, 0] = xa, xb
+            pairs, mask = geomgraph._strict_pairs(pts, t)
+            assert [300, 301] in pairs[mask].tolist()
+        assert hits >= 5
+
+    def test_small_blocks_give_the_same_pairs(self, monkeypatch):
+        monkeypatch.setattr(geomgraph, "_GRID_BLOCK", 7)
+        rng = np.random.default_rng(141)
+        pts = np.concatenate([rng.random((150, 2)), rng.integers(0, 4, size=(40, 2)) * 0.25])
+        for t in (0.05, 0.25, 0.6, 3.0):
+            assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
+                _dense_edge_keys(pts, t)
+
+    def test_cell_cap(self, monkeypatch):
+        # 100 points, so the cap is 4 * 100 + 64 = 464 cells; at t = 1 a span of
+        # 28.5 x 15.5 takes 29 x 16 = 464 cells and one of 30.5 x 14.5 takes 31 x 15 = 465
+        trees = _count_trees(monkeypatch)
+        rng = np.random.default_rng(142)
+        for (wx, wy), want_trees in (((28.5, 15.5), 0), ((30.5, 14.5), 1)):
+            pts = np.concatenate([[[0.0, 0.0], [wx, wy]], rng.random((98, 2)) * [wx, wy]])
+            trees.clear()
+            assert _edge_keys(*geomgraph._strict_pairs(pts, 1.0), 100) == \
+                _dense_edge_keys(pts, 1.0)
+            assert len(trees) == want_trees
+
+    @pytest.mark.parametrize("t", [1e-160, 1e160])
+    def test_radii_without_a_normal_square_use_the_tree(self, monkeypatch, t):
+        trees = _count_trees(monkeypatch)
+        pts = np.array([[0.0, 0.0], [1e-161, 0.0], [0.0, 3e-161], [2.0, 2.0]])
+        assert _edge_keys(*geomgraph._strict_pairs(pts, t), 4) == _dense_edge_keys(pts, t)
+        assert len(trees) == 1
+
+    def test_planar_counts_build_no_tree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a KD-tree was built")
+
+        monkeypatch.setattr(geomgraph, "cKDTree", refuse)
+        rng = np.random.default_rng(143)
+        for n in (256, 2048):
+            t = RadiusSchedule("C4", rho=1.0).radius(n, 2)
+            pts = rng.random((n, 2))
+            assert count_subgraphs(pts, EDGE, t) > 0
+            assert count_subgraphs(pts, TRIANGLE, t) > 0
+        with pytest.raises(AssertionError, match="KD-tree"):
+            count_subgraphs(rng.random((256, 3)), EDGE, 0.1)
+
+
+def _count_trees(monkeypatch):
+    trees = []
+
+    def counting(*args, **kwargs):
+        trees.append(args)
+        return cKDTree(*args, **kwargs)
+
+    monkeypatch.setattr(geomgraph, "cKDTree", counting)
+    return trees
+
+
+def _label_keys(i, j, n):
+    return sorted((i * n + j).tolist())
+
+
+def _dense_edge_keys(pts, t):
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    i, j = np.nonzero(np.triu((d2 > 0.0) & (d2 < t * t), k=1))
+    return _label_keys(i, j, len(pts))
 
 
 def _edge_keys(pairs, mask, n):
