@@ -8,14 +8,18 @@ planar points are sorted into a row-major grid of cells slightly wider than
 the radius and each is paired with its own and the adjacent cells, unless the
 grid would need more than 4n + 64 cells; every other input goes to a
 sliding-midpoint KD-tree, and edge counts of points on a line come from
-sorting instead.  The strict predicate keeps the edges, and for p >= 3 the
-connected induced vertex sets of that graph are grown from its edges (as in
-Wernicke's ESU motif enumeration, IEEE/ACM TCBB 2006) and classified by the
-same `geometric_codes` as point tuples, against the pattern's precomputed
-isomorphism codes.  Growth works on 1-D vertex columns, one per set member,
-and drops repeated sets by sorting their packed base-n keys.  Tuples and the
-edge list apply the one squared-distance predicate `_strict` to their pairs
-i < j, and every bit code has the one layout of `_pair_codes`.
+sorting instead.  The strict predicate keeps the edges.  The two 3-vertex
+patterns are counted from the edge list alone: triangles T from forward
+wedges (pairs of edges from one vertex to two larger ones, looked up in the
+sorted edge keys), induced paths as W - 3T from the wedges W counted on the
+degrees.  For p >= 4 the connected induced vertex sets of that graph are
+grown from its edges (as in Wernicke's ESU motif enumeration, IEEE/ACM TCBB
+2006) and classified by the same `geometric_codes` as point tuples, against
+the pattern's precomputed isomorphism codes.  Growth works on 1-D vertex
+columns, one per set member, and drops repeated sets by sorting their packed
+base-n keys.  Tuples and the edge list apply the one squared-distance
+predicate `_strict` to their pairs i < j, and every bit code has the one
+layout of `_pair_codes`.
 """
 
 from __future__ import annotations
@@ -451,11 +455,15 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     cell grid of side slightly above t for 2-D points, and from a KD-tree for
     every other dimension and for 2-D inputs whose grid would exceed 4n + 64
     cells; edges of points on a line are counted from the sorted values
-    instead.  For p >= 3 the connected induced vertex sets of that graph are
-    grown level by level from its edges, one vertex column at a time: a set
-    takes any neighbour of a member above the set's minimum, the new vertex
-    is merged into the sorted row, and duplicates are dropped by sorting the
-    sets' packed base-n keys.  Each p-set is classified by its
+    instead.  A 3-vertex pattern is the path or the triangle, told apart by
+    its edge count: every wedge W = sum of C(deg v, 2) is an induced path
+    (one centre) or a triangle (three), so paths are W - 3T, and the
+    triangles T are the forward wedges whose closing edge is in the sorted
+    edge keys (`_count_three`).  For p >= 4 the connected induced vertex sets
+    of that graph are grown level by level from its edges, one vertex column
+    at a time: a set takes any neighbour of a member above the set's minimum,
+    the new vertex is merged into the sorted row, and duplicates are dropped
+    by sorting the sets' packed base-n keys.  Each p-set is classified by its
     `geometric_codes` bit code against the pattern's isomorphism codes.
     Copies of a connected pattern are connected sets, so the result equals
     direct enumeration over all p-subsets.  Points must be a finite (n, d)
@@ -480,8 +488,40 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
     if p == 2:
         return sum(int(np.count_nonzero(mask)) for _, _, mask in blocks)
     kept = [(a[mask], b[mask]) for a, b, mask in blocks]
-    edges = _labelled(*(np.concatenate(x) for x in zip(*kept)), order)
+    a, b = (np.concatenate(x) for x in zip(*kept))
+    if p == 3:
+        # a < b in the grid's sort order or the tree's labels; counts ignore labels
+        return _count_three(a * n + b, n, pat.edge_count == 3)
+    edges = _labelled(a, b, order)
     return _count_grown(_StrictGraph(edges, n), _unique_rows(list(edges.T), n), pts, pat, t)
+
+
+def _count_three(key: np.ndarray, n: int, triangle: bool) -> int:
+    """Triangles, or else induced 3-vertex paths, of the graph whose edges are the
+    distinct keys i * n + j (i < j).
+
+    A wedge (two edges at a shared centre) spans an induced path, which has
+    one centre, or a triangle, which has three, so the paths number W - 3T
+    with W the sum of C(deg v, 2).  T counts forward wedges: in sorted key
+    order each vertex's edges to larger vertices form one run with ascending
+    ends, and two positions a < b of a run close a triangle exactly when
+    ``dst[a] * n + dst[b]`` is an edge key.  The position pairs are expanded
+    in `_run_blocks` blocks.
+    """
+    key = np.sort(key)
+    src, dst = np.divmod(key, n)
+    outdeg = np.bincount(src, minlength=n)
+    tri = 0
+    if key.size:
+        none = np.zeros(key.size, dtype=np.int64)
+        for a, b in _run_blocks(np.arange(1, key.size + 1), np.cumsum(outdeg)[src], none, none):
+            q = dst[a] * n + dst[b]
+            hit = key[np.minimum(np.searchsorted(key, q), key.size - 1)] == q
+            tri += int(np.count_nonzero(hit))
+    if triangle:
+        return tri
+    deg = outdeg + np.bincount(dst, minlength=n)
+    return int(np.sum(deg * (deg - 1) // 2)) - 3 * tri
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -34,6 +35,7 @@ PAW = GraphPattern(np.array([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1,
 STAR4 = GraphPattern(np.array([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]),
                      name="star4")
 PATH5 = GraphPattern(np.eye(5, k=1) + np.eye(5, k=-1), name="path5")
+K4 = complete_pattern(4)
 
 
 def lattice(side, d):
@@ -160,21 +162,29 @@ class TestGeometricCodes:
 
 
 class TestStrictPairs:
+    # planar points would take the cell grid; refusing it sends every input to the tree
+
     @pytest.mark.parametrize("kind, d", [("uniform", 2), ("uniform", 3), ("gaussian", 2)])
-    def test_sliding_midpoint_tree_keeps_the_pair_set(self, kind, d):
+    def test_sliding_midpoint_tree_keeps_the_pair_set(self, kind, d, monkeypatch):
+        trees = _tree_only(monkeypatch)
         rng = np.random.default_rng(130 + d)
         for n in (128, 256, 512, 1024, 2048, 4096):
             pts = rng.random((n, d)) if kind == "uniform" else rng.standard_normal((n, d))
             # the C4 radius at rho = 1 (the motif sweeps) and a denser one
             for t in (n ** (-1.0 / d), n**-0.25):
+                trees.clear()
                 assert _edge_keys(*geomgraph._strict_pairs(pts, t), n) == \
                     _balanced_tree_edge_keys(pts, t)
+                assert len(trees) == 1
 
-    def test_lattice_ties_keep_the_pair_set(self):
+    def test_lattice_ties_keep_the_pair_set(self, monkeypatch):
+        trees = _tree_only(monkeypatch)
         pts = np.concatenate([lattice(12, 2), lattice(12, 2)[:20]])
         for t in (1.0, 1.5, 2.0):
+            trees.clear()
             assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
                 _balanced_tree_edge_keys(pts, t)
+            assert len(trees) == 1
 
 
 class TestCellGrid:
@@ -242,6 +252,19 @@ class TestCellGrid:
             assert [300, 301] in pairs[mask].tolist()
         assert hits >= 5
 
+    def test_grid_keeps_the_balanced_tree_pair_set(self, monkeypatch):
+        # the sizes of the sliding-midpoint tree test, and lattice ties and repeats
+        trees = _count_trees(monkeypatch)
+        rng = np.random.default_rng(132)
+        configs = [(rng.random((n, 2)), t) for n in (128, 512, 2048, 4096)
+                   for t in (n**-0.5, n**-0.25)]
+        configs += [(np.concatenate([lattice(12, 2), lattice(12, 2)[:20]]), t)
+                    for t in (1.0, 1.5, 2.0)]
+        for pts, t in configs:
+            assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
+                _balanced_tree_edge_keys(pts, t)
+        assert trees == []
+
     def test_small_blocks_give_the_same_pairs(self, monkeypatch):
         monkeypatch.setattr(geomgraph, "_GRID_BLOCK", 7)
         rng = np.random.default_rng(141)
@@ -295,14 +318,24 @@ def _count_trees(monkeypatch):
     return trees
 
 
+def _tree_only(monkeypatch):
+    """Refuse every cell grid, so pairs come from the KD-tree; returns its build record."""
+    monkeypatch.setattr(geomgraph, "_grid_candidates", lambda cols, t: None)
+    return _count_trees(monkeypatch)
+
+
 def _label_keys(i, j, n):
     return sorted((i * n + j).tolist())
 
 
 def _dense_edge_keys(pts, t):
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-    i, j = np.nonzero(np.triu((d2 > 0.0) & (d2 < t * t), k=1))
+    i, j = np.nonzero(np.triu(_dense_adjacency(pts, t), k=1))
     return _label_keys(i, j, len(pts))
+
+
+def _dense_adjacency(pts, t):
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    return ((d2 > 0.0) & (d2 < t * t)).astype(np.int64)
 
 
 def _edge_keys(pairs, mask, n):
@@ -396,25 +429,32 @@ class TestCountSubgraphs:
         pts = np.random.default_rng(97 + d).random((16, d))
         assert count_subgraphs(pts, pat, t) == brute_subgraph_count(pts, pat, t)
 
-    def test_dense_case_crosses_anchor_blocks(self):
+    def test_dense_case_crosses_anchor_blocks(self, monkeypatch):
         rng = np.random.default_rng(98)
         pts = rng.random((400, 2))
         t = 0.3
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        adj = ((d2 > 0.0) & (d2 < t * t)).astype(np.int64)
-        deg = adj.sum(axis=1)
-        i, j = np.nonzero(np.triu(adj))
-        # the 3-set candidates grown from the edges exceed one block
-        assert int((deg[i] + deg[j]).sum()) * 3 > geomgraph._GROW_BUDGET
-        assert count_subgraphs(pts, TRIANGLE, t) == np.trace(adj @ adj @ adj) // 6
+        adj = _dense_adjacency(pts, t)
+        n, edges = len(pts), int(adj.sum()) // 2
+        # any labelling has at least n C(E / n, 2) forward wedges, past one block
+        assert n * math.comb(edges // n, 2) > geomgraph._GRID_BLOCK
+        a2 = adj @ adj
+        assert count_subgraphs(pts, TRIANGLE, t) == np.trace(a2 @ adj) // 6
+        assert count_subgraphs(pts, PATH3, t) == (a2 * (1 - adj - np.eye(n, dtype=int))).sum() // 2
+        # K4 is grown, and its 4-set candidates exceed one block of anchors
+        levels = _record_growth(monkeypatch)
+        pts, t = rng.random((400, 2)), 0.12
+        assert count_subgraphs(pts, K4, t) == _four_cliques(_dense_adjacency(pts, t)) > 0
+        assert levels.count(3) > 1
 
-    @pytest.mark.parametrize("pat", [PATH3, PAW, PATH5], ids=lambda pat: pat.name)
+    @pytest.mark.parametrize("pat", [PATH3, PAW, PATH5, K4], ids=lambda pat: pat.name)
     def test_small_blocks_give_the_same_count(self, pat, monkeypatch):
+        # small growth blocks for p >= 4, small wedge and grid blocks for all
         rng = np.random.default_rng(99)
         pts = rng.random((150, 2))
         t = 0.12
         whole = count_subgraphs(pts, pat, t)
         monkeypatch.setattr(geomgraph, "_GROW_BUDGET", 64)
+        monkeypatch.setattr(geomgraph, "_GRID_BLOCK", 7)
         assert count_subgraphs(pts, pat, t) == whole > 0
 
     @pytest.mark.parametrize("d, t", [(4, 1.0), (8, 2.0)])
@@ -449,9 +489,10 @@ class TestCountSubgraphs:
         with pytest.raises(ParameterError):
             pattern_kernel(np.zeros((3, 2)), TRIANGLE, float("nan"))
 
-    @pytest.mark.parametrize("pat", [TRIANGLE, PAW], ids=lambda pat: pat.name)
+    @pytest.mark.parametrize("pat", [TRIANGLE, PAW, K4], ids=lambda pat: pat.name)
     def test_grown_sets_are_deduplicated_without_np_unique(self, pat, monkeypatch):
-        # 300**4 < 2**63, so every level is deduplicated on packed keys
+        # 300**4 < 2**63, so every growth level (p >= 4) is deduplicated on
+        # packed keys; the triangle's edge keys are only sorted
         rng = np.random.default_rng(103)
         pts = rng.random((300, 2))
         t = 0.1
@@ -471,6 +512,108 @@ class TestCountSubgraphs:
             cur = count_subgraphs(pts, TRIANGLE, t)
             assert cur >= last
             last = cur
+
+
+def _four_cliques(adj):
+    """4-cliques of a dense 0/1 adjacency: each of a clique's six edges sees
+    its other two vertices as one adjacent pair of common neighbours."""
+    i, j = np.nonzero(np.triu(adj))
+    common = (adj[i] & adj[j]).astype(float)
+    pairs = int(round(((common @ adj.astype(float)) * common).sum())) // 2
+    return pairs // 6
+
+
+def _record_growth(monkeypatch):
+    """The set size k of the rows of every `_StrictGraph.extend` call, in order."""
+    levels = []
+    extend = geomgraph._StrictGraph.extend
+
+    def recording(self, rows):
+        levels.append(rows.shape[1])
+        return extend(self, rows)
+
+    monkeypatch.setattr(geomgraph._StrictGraph, "extend", recording)
+    return levels
+
+
+def _grown_count(pts, pat, t):
+    """The p-set growth count, called directly: the reference for the 3-vertex rule."""
+    pairs, mask = geomgraph._strict_pairs(pts, t)
+    edges, n = pairs[mask], len(pts)
+    return geomgraph._count_grown(geomgraph._StrictGraph(edges, n),
+                                  _unique_rows(list(edges.T), n), pts, pat, t)
+
+
+class TestThreeVertexCounts:
+    @staticmethod
+    def _configs():
+        # d 1-3; uniform points, and half-integer lattice points with pairs
+        # exactly at t; a fifth of every config repeats other points
+        rng = np.random.default_rng(160)
+        for trial in range(60):
+            d, n = 1 + trial % 3, int(rng.integers(3, 40))
+            if trial % 2:
+                pts, t = rng.random((n, d)), float(rng.uniform(0.1, 0.6))
+            else:
+                pts = rng.integers(0, 4, size=(n, d)) * 0.5
+                t = float(rng.choice([0.5, 1.0, 1.5]))
+            pts[:n // 5] = pts[n // 5:2 * (n // 5)]
+            yield pts, t
+
+    @pytest.mark.parametrize("pat", [TRIANGLE, PATH3], ids=lambda pat: pat.name)
+    def test_matches_brute_force_and_growth(self, pat):
+        positive = 0
+        for pts, t in self._configs():
+            got = count_subgraphs(pts, pat, t)
+            assert got == brute_subgraph_count(pts, pat, t) == _grown_count(pts, pat, t)
+            positive += got > 0
+        assert positive >= 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("pat", [TRIANGLE, PATH3], ids=lambda pat: pat.name)
+    def test_graphs_without_a_wedge(self, pat, d):
+        # no edge: pairs coincide or sit at or beyond t; then one edge
+        pts = np.zeros((4, d))
+        pts[1:3, 0] = 1.0, 2.0
+        assert count_subgraphs(pts, pat, 1.0) == 0 == _grown_count(pts, pat, 1.0)
+        pts[2, 0] = 1.5
+        assert count_subgraphs(pts, pat, 0.6) == 0 == _grown_count(pts, pat, 0.6)
+
+    def test_relabelled_pattern_files_take_the_named_counts(self, tmp_path):
+        from ustatkit.cli import load_pattern
+
+        files = [("triangle", [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+                 ("path3", [[0, 1, 1], [1, 0, 0], [1, 0, 0]]),
+                 ("path3", [[0, 0, 1], [0, 0, 1], [1, 1, 0]])]
+        rng = np.random.default_rng(161)
+        for d, t in ((1, 0.03), (2, 0.12), (3, 0.25)):
+            pts = rng.random((200, d))
+            for k, (name, adj) in enumerate(files):
+                path = tmp_path / f"pattern{k}.json"
+                path.write_text(json.dumps({"p": 3, "adjacency": adj}))
+                want = count_subgraphs(pts, named_pattern(name), t)
+                assert count_subgraphs(pts, load_pattern(str(path)), t) == want > 0
+
+    def test_wedges_split_across_small_blocks(self, monkeypatch):
+        rng = np.random.default_rng(162)
+        pts = rng.random((120, 2))
+        t = 0.3
+        monkeypatch.setattr(geomgraph, "_GRID_BLOCK", 7)
+        for pat in (TRIANGLE, PATH3):
+            assert count_subgraphs(pts, pat, t) == brute_subgraph_count(pts, pat, t) > 0
+
+    def test_three_vertex_counts_build_no_strict_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a _StrictGraph was built")
+
+        monkeypatch.setattr(geomgraph, "_StrictGraph", refuse)
+        rng = np.random.default_rng(163)
+        for d, t in ((1, 0.01), (2, 0.08), (3, 0.2)):
+            pts = rng.random((300, d))
+            assert count_subgraphs(pts, TRIANGLE, t) > 0
+            assert count_subgraphs(pts, PATH3, t) > 0
+        with pytest.raises(AssertionError, match="_StrictGraph"):
+            count_subgraphs(pts, PAW, t)
 
 
 class TestUniqueRows:
