@@ -3,23 +3,12 @@
 A graph is built on n sampled points with edges between distinct points at
 Euclidean distance strictly between 0 and the radius; the statistic counts
 p-subsets whose induced graph is isomorphic to a fixed connected pattern.
-Counting is exact.  The pairs within reach of the radius are listed once:
-planar points are sorted into a row-major grid of cells slightly wider than
-the radius and each is paired with its own and the adjacent cells, unless the
-grid would need more than 4n + 64 cells; every other input goes to a
-sliding-midpoint KD-tree, and edge counts of points on a line come from
-sorting instead.  The strict predicate keeps the edges.  The two 3-vertex
-patterns are counted from the edge list alone: triangles T from forward
-wedges (pairs of edges from one vertex to two larger ones, looked up in the
-sorted edge keys), induced paths as W - 3T from the wedges W counted on the
-degrees.  For p >= 4 the connected induced vertex sets of that graph are
-grown from its edges (as in Wernicke's ESU motif enumeration, IEEE/ACM TCBB
-2006) and classified by the same `geometric_codes` as point tuples, against
-the pattern's precomputed isomorphism codes.  Growth works on 1-D vertex
-columns, one per set member, and drops repeated sets by sorting their packed
-base-n keys.  Tuples and the edge list apply the one squared-distance
-predicate `_strict` to their pairs i < j, and every bit code has the one
-layout of `_pair_codes`.
+Counting is exact (`count_subgraphs` describes the pipeline): the pairs within
+reach of the radius are listed once, by a cell grid for planar points and a
+KD-tree otherwise, and every count with p >= 3 reads one sorted array of edge
+keys in the labels the pair lister gave the points.  Tuples and the edge list
+apply the one squared-distance predicate `_strict` to their pairs i < j, and
+every bit code has the one layout of `_pair_codes`.
 """
 
 from __future__ import annotations
@@ -148,12 +137,6 @@ def _strict(diffs, t: float) -> np.ndarray:
     return (d2 > 0.0) & (d2 < t * t)
 
 
-def _strict_adjacent(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """`_strict` for the Euclidean distance over the last axis of two broadcastable
-    point arrays."""
-    return _strict((a[..., k] - b[..., k] for k in range(a.shape[-1])), t)
-
-
 def _strict_mask(cols, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """`_strict` for the index pairs (a, b) of points given as contiguous coordinate
     columns; gathering columns, not rows, gives the same differences in the same order."""
@@ -170,8 +153,10 @@ def geometric_codes(points, t: float) -> np.ndarray:
         vertices = [np.asarray(v, dtype=float) for v in points]
     else:
         vertices = list(np.moveaxis(np.asarray(points, dtype=float), -2, 0))
+    d = vertices[0].shape[-1]
     return _pair_codes(np.broadcast_shapes(*(v.shape[:-1] for v in vertices)), len(vertices),
-                       lambda i, j: _strict_adjacent(vertices[i], vertices[j], t))
+                       lambda i, j: _strict((vertices[i][..., k] - vertices[j][..., k]
+                                             for k in range(d)), t))
 
 
 def pattern_indicator(points, pat: GraphPattern, t: float) -> np.ndarray:
@@ -212,14 +197,13 @@ def _grid_candidates(cols, t: float):
     """Candidate pairs of 2-D points from a row-major cell grid, or None past the cell cap.
 
     ``cols`` are the points' two contiguous coordinate columns.  Returns
-    ``(order, cols, blocks)``: ``order`` sorts the points by cell, ``cols``
-    are the sorted columns, and ``blocks`` yields arrays (a, b) of sorted
-    positions with a < b that list every pair in the same or adjacent cells
-    once.  Each point is paired with one contiguous run for the rest of its
-    cell and the cell to its right, and one for the three cells of the next
-    row; an empty column at the end of every row keeps both runs in the
-    point's neighbourhood.  (Bentley, Stanat & Williams 1977, Inf. Process.
-    Lett. 6:209.)
+    ``(cols, blocks)``: ``cols`` are the columns sorted by cell, and
+    ``blocks`` yields arrays (a, b) of sorted positions with a < b that list
+    every pair in the same or adjacent cells once.  Each point is paired with
+    one contiguous run for the rest of its cell and the cell to its right, and
+    one for the three cells of the next row; an empty column at the end of
+    every row keeps both runs in the point's neighbourhood.  (Bentley, Stanat
+    & Williams 1977, Inf. Process. Lett. 6:209.)
     """
     n = cols[0].size
     lo = [c.min() for c in cols]
@@ -249,57 +233,50 @@ def _grid_candidates(cols, t: float):
     start = np.zeros((ny + 1) * w + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=(ny + 1) * w), out=start[1:])
     # run 1: the rest of the own cell and the right cell; run 2: the next row's three cells
-    runs = (np.arange(1, n + 1), start[key + 2], start[key + w - 1], start[key + w + 2])
-    return order, [col[order] for col in cols], _run_blocks(*runs)
+    runs = [(np.arange(1, n + 1), start[key + 2]), (start[key + w - 1], start[key + w + 2])]
+    return [col[order] for col in cols], _run_blocks(runs)
 
 
-def _run_blocks(s1, e1, s2, e2):
-    """Blocks (a, b) of the pairs (i, j) with j in [s1[i], e1[i]) or [s2[i], e2[i]),
-    cut between values of i at multiples of ``_GRID_BLOCK`` pairs."""
-    per = np.cumsum(e1 - s1 + e2 - s2)
+def _run_blocks(runs):
+    """Blocks (a, b) of the pairs (i, j) with j in [s[i], e[i]) for a run (s, e)
+    of ``runs``, cut between values of i at multiples of ``_GRID_BLOCK`` pairs."""
+    per = np.cumsum(sum(e - s for s, e in runs))
     cuts = np.searchsorted(per, np.arange(_GRID_BLOCK, per[-1], _GRID_BLOCK)).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, per.size]):
         if lo == hi:
             continue
-        first = np.concatenate([s1[lo:hi], s2[lo:hi]])
-        size = np.concatenate([e1[lo:hi], e2[lo:hi]]) - first
+        first = np.concatenate([s[lo:hi] for s, _ in runs])
+        size = np.concatenate([e[lo:hi] for _, e in runs]) - first
         ends = np.cumsum(size)
-        a = np.repeat(np.tile(np.arange(lo, hi), 2), size)
+        a = np.repeat(np.tile(np.arange(lo, hi), len(runs)), size)
         b = np.repeat(first - ends + size, size) + np.arange(ends[-1])
         yield a, b
 
 
 def _candidate_blocks(pts: np.ndarray, t: float):
-    """Candidate pairs within reach of t, as ``(order, blocks)``.
+    """Candidate pairs within reach of t, as ``(cols, blocks)``.
 
-    ``blocks`` yields (a, b, mask): index pairs and the mask of those at
-    0 < distance < t.  ``order`` labels the indices: the grid's sort order for
-    2-D points, or None for the KD-tree, whose pairs are labels with a < b.
+    ``cols`` are the points' contiguous coordinate columns in the labels of the
+    pairs: sorted by cell on the 2-D grid, as given for the KD-tree.  ``blocks``
+    yields (a, b, mask): label pairs with a < b and the mask of those at
+    0 < distance < t.
     """
     cols = [np.ascontiguousarray(pts[:, k]) for k in range(pts.shape[1])]
     grid = _grid_candidates(cols, t) if len(cols) == 2 else None
-    if grid is not None:
-        order, cols, blocks = grid
-        return order, ((a, b, _strict_mask(cols, a, b, t)) for a, b in blocks)
-    # sliding-midpoint splits build faster; the strict mask makes the pairs tree-free
-    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-    a, b = tree.query_pairs(r=t, output_type="ndarray").T
-    return None, iter([(a, b, _strict_mask(cols, a, b, t))])
+    if grid is None:
+        # sliding-midpoint splits build faster; the strict mask makes the pairs tree-free
+        tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+        grid = cols, [tree.query_pairs(r=t, output_type="ndarray").T]
+    cols, blocks = grid
+    return cols, ((a, b, _strict_mask(cols, a, b, t)) for a, b in blocks)
 
 
-def _labelled(a: np.ndarray, b: np.ndarray, order) -> np.ndarray:
-    """The pairs (a, b) as rows (i, j) of point labels with i < j."""
-    if order is None:
-        return np.column_stack([a, b])
-    a, b = order[a], order[b]
-    return np.column_stack([np.minimum(a, b), np.maximum(a, b)])
-
-
-def _strict_pairs(pts: np.ndarray, t: float):
-    """Candidate pairs (i < j) within reach of t, and the mask of those at 0 < distance < t."""
-    order, blocks = _candidate_blocks(pts, t)
-    a, b, mask = (np.concatenate(x) for x in zip(*blocks))
-    return _labelled(a, b, order), mask
+def _strict_edges(pts: np.ndarray, t: float):
+    """The edges at 0 < distance < t as ``(cols, key)``: the sorted keys
+    a * n + b (a < b) in the labels of the coordinate columns ``cols``."""
+    n = pts.shape[0]
+    cols, blocks = _candidate_blocks(pts, t)
+    return cols, np.sort(np.concatenate([a[mask] * n + b[mask] for a, b, mask in blocks]))
 
 
 def _strict_count_1d(x: np.ndarray, t: float) -> int:
@@ -370,10 +347,11 @@ def _unique_rows(cols, n: int) -> np.ndarray:
 class _StrictGraph:
     """CSR adjacency of the strict-radius graph, with each vertex's degree."""
 
-    def __init__(self, edges: np.ndarray, n: int):
+    def __init__(self, key: np.ndarray, n: int):
+        """The graph of the distinct edge keys i * n + j (i < j), in any order."""
         self.n = n
         # one sorted key src * n + dst per directed edge: the CSR in key order
-        key = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+        key = np.concatenate([key, key % n * n + key // n])
         key.sort()
         src, self.indices = np.divmod(key, n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
@@ -451,16 +429,22 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
 
     Edges join points at squared distance strictly between 0 and t**2, the
     same predicate ``geometric_codes`` applies, so ties at distance t and
-    coincident points are never adjacent.  The candidate pairs come from a
-    cell grid of side slightly above t for 2-D points, and from a KD-tree for
-    every other dimension and for 2-D inputs whose grid would exceed 4n + 64
-    cells; edges of points on a line are counted from the sorted values
-    instead.  A 3-vertex pattern is the path or the triangle, told apart by
-    its edge count: every wedge W = sum of C(deg v, 2) is an induced path
-    (one centre) or a triangle (three), so paths are W - 3T, and the
-    triangles T are the forward wedges whose closing edge is in the sorted
-    edge keys (`_count_three`).  For p >= 4 the connected induced vertex sets
-    of that graph are grown level by level from its edges, one vertex column
+    coincident points are never adjacent.  Edge counts of points on a line
+    come from the sorted values.  Otherwise the candidate pairs are listed
+    once: planar points are sorted into a row-major grid of cells slightly
+    wider than t and paired with their own and the adjacent cells, unless the
+    grid would exceed 4n + 64 cells; every other input goes to a
+    sliding-midpoint KD-tree.  An edge count sums the strict masks.  For
+    p >= 3 the kept pairs become one sorted array of edge keys i * n + j
+    (i < j) in the lister's labels (the grid's cell order, or the input
+    order), with the points returned in those labels (`_strict_edges`); no
+    count depends on the labels.  A 3-vertex pattern is the path or the
+    triangle, told apart by its edge count: every wedge W = sum of
+    C(deg v, 2) is an induced path (one centre) or a triangle (three), so
+    paths are W - 3T, and the triangles T are the forward wedges whose
+    closing edge is in the keys (`_count_three`).  For p >= 4 the connected
+    induced vertex sets are grown level by level from the edge rows (as in
+    Wernicke's ESU motif enumeration, IEEE/ACM TCBB 2006), one vertex column
     at a time: a set takes any neighbour of a member above the set's minimum,
     the new vertex is merged into the sorted row, and duplicates are dropped
     by sorting the sets' packed base-n keys.  Each p-set is classified by its
@@ -484,21 +468,19 @@ def count_subgraphs(points: np.ndarray, pat: GraphPattern, t: float) -> int:
         return 0
     if p == 2 and pts.shape[1] == 1:
         return _strict_count_1d(pts[:, 0], t)
-    order, blocks = _candidate_blocks(pts, t)
     if p == 2:
-        return sum(int(np.count_nonzero(mask)) for _, _, mask in blocks)
-    kept = [(a[mask], b[mask]) for a, b, mask in blocks]
-    a, b = (np.concatenate(x) for x in zip(*kept))
+        return sum(int(np.count_nonzero(mask)) for _, _, mask in _candidate_blocks(pts, t)[1])
+    cols, key = _strict_edges(pts, t)
     if p == 3:
-        # a < b in the grid's sort order or the tree's labels; counts ignore labels
-        return _count_three(a * n + b, n, pat.edge_count == 3)
-    edges = _labelled(a, b, order)
-    return _count_grown(_StrictGraph(edges, n), _unique_rows(list(edges.T), n), pts, pat, t)
+        return _count_three(key, n, pat.edge_count == 3)
+    # the sorted keys are the lexicographic edge rows, with contiguous columns
+    rows = np.transpose(np.divmod(key, n))
+    return _count_grown(_StrictGraph(key, n), rows, np.column_stack(cols), pat, t)
 
 
 def _count_three(key: np.ndarray, n: int, triangle: bool) -> int:
     """Triangles, or else induced 3-vertex paths, of the graph whose edges are the
-    distinct keys i * n + j (i < j).
+    sorted distinct keys i * n + j (i < j).
 
     A wedge (two edges at a shared centre) spans an induced path, which has
     one centre, or a triangle, which has three, so the paths number W - 3T
@@ -508,13 +490,11 @@ def _count_three(key: np.ndarray, n: int, triangle: bool) -> int:
     ``dst[a] * n + dst[b]`` is an edge key.  The position pairs are expanded
     in `_run_blocks` blocks.
     """
-    key = np.sort(key)
     src, dst = np.divmod(key, n)
     outdeg = np.bincount(src, minlength=n)
     tri = 0
     if key.size:
-        none = np.zeros(key.size, dtype=np.int64)
-        for a, b in _run_blocks(np.arange(1, key.size + 1), np.cumsum(outdeg)[src], none, none):
+        for a, b in _run_blocks([(np.arange(1, key.size + 1), np.cumsum(outdeg)[src])]):
             q = dst[a] * n + dst[b]
             hit = key[np.minimum(np.searchsorted(key, q), key.size - 1)] == q
             tri += int(np.count_nonzero(hit))
@@ -807,6 +787,8 @@ def variance_lower_bound_check(pat: GraphPattern, density: DensityModel,
         raise ParameterError(f"reps needs at least 2 replicates, got {reps}")
     if q_samples < 1:
         raise ParameterError(f"q_samples needs at least 1 tuple, got {q_samples}")
+    if not t > 0:
+        raise ParameterError("radius must be positive")
     p = pat.p
     counts = _replicates(np.empty(reps), lambda rng: count_subgraphs(
         density.sample(rng, n), pat, t), seed, Purpose.VARCHECK, n)
@@ -873,7 +855,7 @@ def gk_contraction_mc(pat: GraphPattern, density: DensityModel, t: float,
         raise ParameterError("need at least 10^4 outer samples")
     if inner < 1:
         raise ParameterError(f"inner needs at least 1 draw, got {inner}")
-    if t <= 0:
+    if not t > 0:
         raise ParameterError("radius must be positive")
 
     n_share = r - tau       # shared kept coordinates

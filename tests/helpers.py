@@ -82,10 +82,17 @@ def exact_law(kernel, mu, n):
     on one sample with those counts, weighted by the multinomial probability
     of the counts.
     """
+    atoms, weights = joint_exact_law([kernel], mu, n)
+    return atoms[:, 0], weights
+
+
+def joint_exact_law(kernels, mu, n):
+    """`exact_law` of the vector of the kernels' U-statistics on one sample:
+    atoms (C(n+m-1, m-1), len(kernels)), one row per count vector, and weights."""
     atoms, weights = [], []
     for counts in count_vectors(mu.alphabet_size, n):
         sample = [sym for sym, c in enumerate(counts) for _ in range(c)]
-        atoms.append(ustat_direct(kernel, sample))
+        atoms.append([ustat_direct(kernel, sample) for kernel in kernels])
         coef = math.factorial(n)
         for c in counts:
             coef //= math.factorial(c)

@@ -3,6 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy import special
 
 from ustatkit import (
@@ -26,7 +27,7 @@ from ustatkit.bounds import KAPPA_COEF, W1_COEF
 from ustatkit.errors import ParameterError, PreconditionError
 from ustatkit.product import prefactor_ratio
 
-from helpers import exact_law, random_degenerate, random_kernel, random_measure
+from helpers import exact_law, joint_exact_law, random_degenerate, random_kernel, random_measure
 
 PROFILE = TestFunctionProfile(m1=1.0, m2=1.0, m3=1.0)
 
@@ -508,6 +509,36 @@ class TestExactLaw:
             np.searchsorted(atoms[order], x, side="right")]
         quad = float(np.abs(cdf - special.ndtr(x)).sum() * h)
         assert _w1_to_normal(atoms, weights) == pytest.approx(quad, abs=2e-5)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    @pytest.mark.parametrize("orders", [(1, 2), (2, 2), (2, 3)], ids=["1-2", "2-2", "2-3"])
+    def test_multivariate_bounds_dominate_the_smooth_gap(self, orders, n):
+        # |E h(W) - E h(Sigma^(1/2) Z)| for h = sin(a . x) and cos(a . x) with
+        # |a| = 1 (profile (1, 1, 1)), W = (J_a / sqrt C(n, p_a), J_b / sqrt C(n, p_b))
+        # rescaled by the recorded factor, under the joint exact law
+        rng = np.random.default_rng(200 + 10 * orders[0] + orders[1] + n)
+        mu = random_measure(rng, 3)
+        kernels = [random_degenerate(rng, p, 3, mu) for p in orders]
+        atoms, weights = joint_exact_law(kernels, mu, n)
+        # E h(Sigma^(1/2) Z) by a 30 x 30 Gauss-Hermite product rule
+        x, gw = hermegauss(30)
+        z = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        zw = np.outer(gw, gw).ravel() / gw.sum() ** 2
+        for mode in ("C3", "C2"):
+            rep = bound_multivariate(kernels, mu, n, PROFILE, mode=mode)
+            w = atoms / np.sqrt([math.comb(n, p) for p in orders]) * rep.extras["applied_scale"]
+            assert np.abs(weights @ w).max() == pytest.approx(0.0, abs=1e-12)
+            cov = (w * weights[:, None]).T @ w
+            lam, vec = np.linalg.eigh(cov)
+            assert lam.tolist() == pytest.approx(rep.extras["covariance_eigenvalues"], abs=1e-12)
+            y = z @ (vec * np.sqrt(lam)).T
+            gap = 0.0
+            for a in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.6, -0.8]):
+                assert zw @ np.cos(y @ a) == pytest.approx(math.exp(-0.5 * (a @ cov @ a)),
+                                                           abs=1e-12)
+                gap = max(gap, *(abs(weights @ h(w @ a) - zw @ h(y @ a))
+                                 for h in (np.sin, np.cos)))
+            assert rep.total >= gap > 0
 
 
 def _standardized_law(kernel, mu, n):

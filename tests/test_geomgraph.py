@@ -154,11 +154,15 @@ class TestGeometricCodes:
         pts = np.concatenate([rng.integers(0, 4, size=(60, d)) * 0.5,
                               rng.random((60, d)) * 2.0])
         t = 1.0
-        pairs, mask = geomgraph._strict_pairs(pts, t)
-        assert np.array_equal(geomgraph.geometric_codes(pts[pairs], t) == 1, mask)
-        i, j = np.triu_indices(len(pts), k=1)
-        bits = geomgraph.geometric_codes(np.stack([pts[i], pts[j]], axis=1), t)
-        assert set(zip(i[bits == 1], j[bits == 1])) == set(map(tuple, pairs[mask]))
+        cols, blocks = geomgraph._candidate_blocks(pts, t)
+        q = np.column_stack(cols)
+        for a, b, mask in blocks:
+            assert np.array_equal(geomgraph.geometric_codes(np.stack([q[a], q[b]], 1), t) == 1,
+                                  mask)
+        key, q = _strict_edge_keys(pts, t)
+        i, j = np.triu_indices(len(q), k=1)
+        bits = geomgraph.geometric_codes(np.stack([q[i], q[j]], axis=1), t)
+        assert _label_keys(i[bits == 1], j[bits == 1], len(q)) == key
 
 
 class TestStrictPairs:
@@ -173,8 +177,8 @@ class TestStrictPairs:
             # the C4 radius at rho = 1 (the motif sweeps) and a denser one
             for t in (n ** (-1.0 / d), n**-0.25):
                 trees.clear()
-                assert _edge_keys(*geomgraph._strict_pairs(pts, t), n) == \
-                    _balanced_tree_edge_keys(pts, t)
+                key, q = _strict_edge_keys(pts, t)
+                assert key == _balanced_tree_edge_keys(q, t)
                 assert len(trees) == 1
 
     def test_lattice_ties_keep_the_pair_set(self, monkeypatch):
@@ -182,8 +186,8 @@ class TestStrictPairs:
         pts = np.concatenate([lattice(12, 2), lattice(12, 2)[:20]])
         for t in (1.0, 1.5, 2.0):
             trees.clear()
-            assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
-                _balanced_tree_edge_keys(pts, t)
+            key, q = _strict_edge_keys(pts, t)
+            assert key == _balanced_tree_edge_keys(q, t)
             assert len(trees) == 1
 
 
@@ -216,13 +220,12 @@ class TestCellGrid:
             if grid is None:
                 continue
             grids += 1
-            order, sorted_cols, blocks = grid
+            sorted_cols, blocks = grid
             a, b = (np.concatenate(x) for x in zip(*blocks))
             assert np.all(a < b)
             mask = geomgraph._strict_mask(sorted_cols, a, b, t)
-            i, j = order[a[mask]], order[b[mask]]
-            got = _label_keys(np.minimum(i, j), np.maximum(i, j), len(pts))
-            assert got == _dense_edge_keys(pts, t)
+            got = _label_keys(a[mask], b[mask], len(pts))
+            assert got == _dense_edge_keys(np.column_stack(sorted_cols), t)
             assert len(set(got)) == len(got)
         assert grids >= 300
 
@@ -248,8 +251,9 @@ class TestCellGrid:
             pts = np.zeros((302, 2))
             pts[:, 0] = lo
             pts[-2:, 0] = xa, xb
-            pairs, mask = geomgraph._strict_pairs(pts, t)
-            assert [300, 301] in pairs[mask].tolist()
+            cols, key = geomgraph._strict_edges(pts, t)
+            x = cols[0][np.column_stack(np.divmod(key, len(pts)))]
+            assert [xa, xb] in np.sort(x, axis=1).tolist()
         assert hits >= 5
 
     def test_grid_keeps_the_balanced_tree_pair_set(self, monkeypatch):
@@ -261,8 +265,8 @@ class TestCellGrid:
         configs += [(np.concatenate([lattice(12, 2), lattice(12, 2)[:20]]), t)
                     for t in (1.0, 1.5, 2.0)]
         for pts, t in configs:
-            assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
-                _balanced_tree_edge_keys(pts, t)
+            key, q = _strict_edge_keys(pts, t)
+            assert key == _balanced_tree_edge_keys(q, t)
         assert trees == []
 
     def test_small_blocks_give_the_same_pairs(self, monkeypatch):
@@ -270,8 +274,8 @@ class TestCellGrid:
         rng = np.random.default_rng(141)
         pts = np.concatenate([rng.random((150, 2)), rng.integers(0, 4, size=(40, 2)) * 0.25])
         for t in (0.05, 0.25, 0.6, 3.0):
-            assert _edge_keys(*geomgraph._strict_pairs(pts, t), len(pts)) == \
-                _dense_edge_keys(pts, t)
+            key, q = _strict_edge_keys(pts, t)
+            assert key == _dense_edge_keys(q, t)
 
     def test_cell_cap(self, monkeypatch):
         # 100 points, so the cap is 4 * 100 + 64 = 464 cells; at t = 1 a span of
@@ -281,15 +285,16 @@ class TestCellGrid:
         for (wx, wy), want_trees in (((28.5, 15.5), 0), ((30.5, 14.5), 1)):
             pts = np.concatenate([[[0.0, 0.0], [wx, wy]], rng.random((98, 2)) * [wx, wy]])
             trees.clear()
-            assert _edge_keys(*geomgraph._strict_pairs(pts, 1.0), 100) == \
-                _dense_edge_keys(pts, 1.0)
+            key, q = _strict_edge_keys(pts, 1.0)
+            assert key == _dense_edge_keys(q, 1.0)
             assert len(trees) == want_trees
 
     @pytest.mark.parametrize("t", [1e-160, 1e160])
     def test_radii_without_a_normal_square_use_the_tree(self, monkeypatch, t):
         trees = _count_trees(monkeypatch)
         pts = np.array([[0.0, 0.0], [1e-161, 0.0], [0.0, 3e-161], [2.0, 2.0]])
-        assert _edge_keys(*geomgraph._strict_pairs(pts, t), 4) == _dense_edge_keys(pts, t)
+        key, q = _strict_edge_keys(pts, t)
+        assert key == _dense_edge_keys(q, t)
         assert len(trees) == 1
 
     def test_planar_counts_build_no_tree(self, monkeypatch):
@@ -338,15 +343,18 @@ def _dense_adjacency(pts, t):
     return ((d2 > 0.0) & (d2 < t * t)).astype(np.int64)
 
 
-def _edge_keys(pairs, mask, n):
-    return sorted((pairs[mask, 0] * n + pairs[mask, 1]).tolist())
+def _strict_edge_keys(pts, t):
+    """`_strict_edges` as a key list, with the points in the labels of its keys."""
+    cols, key = geomgraph._strict_edges(pts, t)
+    return key.tolist(), np.column_stack(cols)
 
 
 def _balanced_tree_edge_keys(pts, t):
     # the default (median-split) tree, with the strict mask applied by hand
-    pairs = cKDTree(pts).query_pairs(r=t, output_type="ndarray")
-    d2 = ((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2).sum(axis=1)
-    return _edge_keys(pairs, (d2 > 0.0) & (d2 < t * t), len(pts))
+    i, j = cKDTree(pts).query_pairs(r=t, output_type="ndarray").T
+    d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+    mask = (d2 > 0.0) & (d2 < t * t)
+    return _label_keys(i[mask], j[mask], len(pts))
 
 
 class TestCountSubgraphs:
@@ -419,8 +427,8 @@ class TestCountSubgraphs:
         for n in (2, 100, 4096):
             for t in (n**-0.5, 0.3, 10.0):
                 pts = rng.standard_normal((n, 1))
-                _, mask = geomgraph._strict_pairs(pts, t)
-                assert count_subgraphs(pts, EDGE, t) == np.count_nonzero(mask)
+                _, key = geomgraph._strict_edges(pts, t)
+                assert count_subgraphs(pts, EDGE, t) == key.size
 
     @pytest.mark.parametrize("d, t", [(1, 0.1), (2, 0.35), (3, 0.55)])
     @pytest.mark.parametrize("pat", [PAW, STAR4, PATH5], ids=lambda pat: pat.name)
@@ -538,10 +546,11 @@ def _record_growth(monkeypatch):
 
 def _grown_count(pts, pat, t):
     """The p-set growth count, called directly: the reference for the 3-vertex rule."""
-    pairs, mask = geomgraph._strict_pairs(pts, t)
-    edges, n = pairs[mask], len(pts)
-    return geomgraph._count_grown(geomgraph._StrictGraph(edges, n),
-                                  _unique_rows(list(edges.T), n), pts, pat, t)
+    cols, key = geomgraph._strict_edges(pts, t)
+    n = len(pts)
+    return geomgraph._count_grown(geomgraph._StrictGraph(key, n),
+                                  _unique_rows(list(np.divmod(key, n)), n),
+                                  np.column_stack(cols), pat, t)
 
 
 class TestThreeVertexCounts:
@@ -616,6 +625,51 @@ class TestThreeVertexCounts:
             count_subgraphs(pts, PAW, t)
 
 
+class TestLabelInvariance:
+    # edges carry the labels of the pair lister (the cell grid's sort order, or
+    # the input's for the KD-tree), so no count may depend on the input order
+    @staticmethod
+    def _configs():
+        rng = np.random.default_rng(170)
+        for d, t in ((1, 0.02), (2, 0.12), (3, 0.3)):
+            yield f"uniform-{d}", rng.random((150, d)), t
+        # a planar cluster and one far point: the grid would need more than 4n + 64 cells
+        yield "over-cap", np.concatenate([rng.random((150, 2)), [[1e3, 1e3]]]), 0.12
+        # half-integer lattice points with pairs at exactly t, a fifth of them repeated
+        for d in (2, 3):
+            lat = rng.integers(0, 8, size=(80, d)) * 0.5
+            yield f"lattice-{d}", np.concatenate([lat, lat[:16]]), 1.0
+
+    @pytest.mark.parametrize("pat", [EDGE, TRIANGLE, PATH3, PAW, K4], ids=lambda pat: pat.name)
+    def test_counts_do_not_depend_on_the_input_order(self, pat, monkeypatch):
+        trees = _count_trees(monkeypatch)
+        rng = np.random.default_rng(171)
+        positive = 0
+        for name, pts, t in self._configs():
+            trees.clear()
+            want = count_subgraphs(pts, pat, t)
+            if name == "over-cap":
+                assert len(trees) == 1
+            for _ in range(3):
+                assert count_subgraphs(pts[rng.permutation(len(pts))], pat, t) == want
+            positive += want > 0
+        assert positive >= 5
+
+    @pytest.mark.parametrize("name", ["uniform-1", "uniform-2", "uniform-3", "over-cap",
+                                      "lattice-2", "lattice-3"])
+    def test_strict_edges_contract(self, name):
+        pts, t = next((pts, t) for label, pts, t in self._configs() if label == name)
+        n = len(pts)
+        cols, key = geomgraph._strict_edges(pts, t)
+        q = np.column_stack(cols)
+        # the columns hold the input rows in some order
+        assert np.array_equal(q[np.lexsort(q.T)], pts[np.lexsort(pts.T)])
+        # strictly increasing keys i * n + j with i < j, exactly the dense edges of q
+        assert np.all(np.diff(key) > 0)
+        assert np.all(key // n < key % n)
+        assert key.tolist() == _dense_edge_keys(q, t) and key.size > 0
+
+
 class TestUniqueRows:
     @pytest.mark.parametrize("n", [50, 600, 2**40])
     def test_distinct_rows_in_lexicographic_order(self, n):
@@ -643,11 +697,11 @@ class TestUniqueRows:
 
 
 def _random_graph(rng, n, density):
-    """Edges (i < j) of a random graph and its dense boolean adjacency."""
+    """Edge keys i * n + j (i < j) of a random graph and its dense boolean adjacency."""
     adj = np.triu(rng.random((n, n)) < density, k=1)
     adj |= adj.T
     i, j = np.nonzero(np.triu(adj))
-    return np.stack([i, j], axis=1), adj
+    return i * n + j, adj
 
 
 def _connected_set(vertices, adj):
@@ -673,25 +727,26 @@ class TestStrictGraph:
     @pytest.mark.parametrize("n, density", [(1, 0.0), (5, 0.0), (12, 0.3), (40, 0.1), (40, 0.9)])
     def test_neighbours_and_degrees_match_dense_adjacency(self, n, density):
         rng = np.random.default_rng(105 + n)
-        edges, adj = _random_graph(rng, n, density)
-        _assert_csr_matches(geomgraph._StrictGraph(rng.permutation(edges), n), adj)
+        key, adj = _random_graph(rng, n, density)
+        _assert_csr_matches(geomgraph._StrictGraph(rng.permutation(key), n), adj)
 
     def test_geometric_graph_matches_dense_adjacency(self):
         # lattice points with repeats and pairs exactly at t
         pts = np.concatenate([lattice(6, 2), lattice(6, 2)[:9]]) * 0.5
         t = 1.0
-        d2 = ((pts[:, None] - pts[None]) ** 2).sum(-1)
+        cols, key = geomgraph._strict_edges(pts, t)
+        q = np.column_stack(cols)
+        d2 = ((q[:, None] - q[None]) ** 2).sum(-1)
         adj = (d2 > 0.0) & (d2 < t * t)
-        pairs, mask = geomgraph._strict_pairs(pts, t)
-        _assert_csr_matches(geomgraph._StrictGraph(pairs[mask], len(pts)), adj)
+        _assert_csr_matches(geomgraph._StrictGraph(key, len(q)), adj)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_extend_matches_set_oracle(self, seed):
         # every connected (k+1)-superset of an input set that keeps its minimum
         rng = np.random.default_rng(110 + seed)
         n = int(rng.integers(6, 13))
-        edges, adj = _random_graph(rng, n, float(rng.uniform(0.2, 0.6)))
-        graph = geomgraph._StrictGraph(edges, n)
+        key, adj = _random_graph(rng, n, float(rng.uniform(0.2, 0.6)))
+        graph = geomgraph._StrictGraph(key, n)
         grown = 0
         for k in (2, 3, 4):
             sets = [s for s in itertools.combinations(range(n), k) if _connected_set(s, adj)]
@@ -884,6 +939,12 @@ class TestVarianceLowerBound:
         with pytest.raises(ParameterError, match="reps"):
             variance_lower_bound_check(EDGE, BOX2, 0.1, 50, reps, seed=0)
 
+    @pytest.mark.parametrize("t", [0.0, -0.1, math.nan])
+    def test_rejects_a_radius_that_is_not_positive(self, t):
+        # the count would read -0.1 as an empty graph, the pattern probability as 0.1
+        with pytest.raises(ParameterError, match="radius"):
+            variance_lower_bound_check(EDGE, BOX2, t, 50, 100, seed=0, q_samples=1000)
+
 
 class TestGkContractionMc:
     def test_tensor_product_identity(self):
@@ -909,6 +970,11 @@ class TestGkContractionMc:
     def test_rejects_no_inner_draws(self, inner):
         with pytest.raises(ParameterError, match="inner"):
             gk_contraction_mc(EDGE, BOX2, 0.2, 2, 2, 1, 1, 10_000, seed=0, inner=inner)
+
+    @pytest.mark.parametrize("t", [0.0, -0.1, math.nan])
+    def test_rejects_a_radius_that_is_not_positive(self, t):
+        with pytest.raises(ParameterError, match="radius"):
+            gk_contraction_mc(EDGE, BOX2, t, 2, 2, 1, 1, 10_000, seed=0)
 
     def test_chunks_bound_peak_memory(self):
         tracemalloc.start()
