@@ -3,16 +3,16 @@
 Every bound here is assembled from exactly computed contraction norms and the
 exact finite-n combinatorial ratio from `product.prefactor_ratio`; no asymptotic
 constant is ever guessed.  The norms of a kernel pair come from one
-`contractions._contraction_table`, the sums run over `product._overlaps`, the
-aggregates that keep every contraction share one `_full_terms`, and the
-bounds that keep only the diagonal contractions share one
-`_diagonal_l4_split`.  The contraction inequality (check iv of
-`verify_contraction_inequalities`) makes each term of the A1 aggregate at most
-the matching term of A2, so A1 <= A2 and b1 <= b2: the dominant, general-B
-and multivariate bounds read A1, and b2 and A2 remain reported quantities.
-The general and dominant bounds decompose their kernel once and read its
-levels, level norms, variance and rank from that `HoeffdingSet`; the general
-bound reads `contraction_aggregates` on those levels.  The projection
+`contractions._contraction_table`, and `_pair_terms` evaluates each ratio of
+a level pair once, over `product._overlaps`, for both the A1 terms (every
+contraction) and the A2 split (diagonal contractions plus L4 ratios).  The
+contraction inequality (check iv of `verify_contraction_inequalities`) makes
+each term of the A1 aggregate at most the matching term of A2, so A1 <= A2
+and b1 <= b2: the dominant, general-B and multivariate bounds read A1 only,
+and b2 and A2 remain reported quantities.  The general and dominant bounds
+decompose their kernel once and read its levels, level norms, variance and
+rank from that `HoeffdingSet`, whose levels `decompose` has already checked
+for degeneracy.  The projection
 contractions of the geometric application are a separate quantity of a
 `HoeffdingSet`, `projection_contraction_bound`, that no bound reads.  The
 order-dependent constants kappa_p of the underlying exchangeable-pair argument
@@ -120,36 +120,30 @@ def _report(terms: dict, extras: dict) -> BoundReport:
     return BoundReport(total=float(sum(terms.values())), terms=terms, extras=extras)
 
 
-def _diagonal_l4_split(n: int, i: int, k: int, cn: dict):
-    """(diagonal part, L4 part) of the aggregate that keeps the diagonal contractions.
+def _pair_terms(n: int, i: int, k: int, table: dict):
+    """The contraction terms of levels (i, k), one `prefactor_ratio` per
+    admissible (t, r).
 
-    Over the admissible (t, r) of orders (i, k), the diagonal part sums
-    ``prefactor_ratio(n, i, k, 2s, s)`` times the norm of the contraction
-    ``cn[(s, s)]`` of the `_contraction_table` ``cn`` (t = 2s, r = s); the L4
-    part sums the ratios of every other (t, r), whose contraction norms the
-    caller replaces by a product of L4 norms.  Even t are summed first.
+    Returns ``(terms, a1, diag, l4)``: ``terms[(t, r)]`` is the ratio times the
+    norm of the contraction ``table[(r, t - r)]`` of a `_contraction_table`,
+    t ascending, and ``a1`` their ``+=`` sum in that order (the builtin
+    ``sum`` compensates round-off from Python 3.12 on).  ``diag`` sums the
+    diagonal terms (t = 2r) and ``l4`` the ratios of every other (t, r), whose
+    norms the A2 aggregate replaces by a product of L4 norms; both sum even t
+    first.
     """
-    diag = 0.0
-    l4 = 0.0
-    for t in (*range(2, i + k, 2), *range(1, i + k, 2)):
-        for r in _overlaps(t, i, k):
-            ratio = prefactor_ratio(n, i, k, t, r)
-            if 2 * r == t:
-                diag += ratio * cn[(r, r)].l2_norm
-            else:
-                l4 += ratio
-    return diag, l4
-
-
-def _full_terms(n: int, i: int, k: int, table: dict) -> dict:
-    """``prefactor_ratio(n, i, k, t, r) * ||contraction (r, t - r)||`` for every
-    admissible (t, r) of orders (i, k), t ascending.
-
-    The aggregates that keep every contraction add them with ``+=`` in this
-    order; the builtin ``sum`` compensates round-off from Python 3.12 on.
-    """
-    return {(t, r): prefactor_ratio(n, i, k, t, r) * table[(r, t - r)].l2_norm
-            for t in range(1, i + k) for r in _overlaps(t, i, k)}
+    ratios = {(t, r): prefactor_ratio(n, i, k, t, r)
+              for t in range(1, i + k) for r in _overlaps(t, i, k)}
+    terms = {(t, r): v * table[(r, t - r)].l2_norm for (t, r), v in ratios.items()}
+    a1 = diag = l4 = 0.0
+    for v in terms.values():
+        a1 += v
+    for t, r in sorted(ratios, key=lambda key: key[0] % 2):
+        if 2 * r == t:
+            diag += terms[(t, r)]
+        else:
+            l4 += ratios[(t, r)]
+    return terms, a1, diag, l4
 
 
 def _envelope(n: int, p: int, i: int, k: int, table: dict, l4: float) -> float:
@@ -192,11 +186,11 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     if l2 <= 0.0:
         raise PreconditionError("kernel must have positive L2 norm")
     l4 = lp_norm(psi, mu, 4.0)
-    cn = _contraction_table(psi, psi, mu)
     kap, prov = kappa.get(p)
     kap_term = KAPPA_COEF * math.sqrt(p * kap / n)
 
-    b1_terms_by_index = {key: v / l2**2 for key, v in _full_terms(n, p, p, cn).items()}
+    terms, _, diag, l4_sum = _pair_terms(n, p, p, _contraction_table(psi, psi, mu))
+    b1_terms_by_index = {key: v / l2**2 for key, v in terms.items()}
     b1_sum = 0.0
     for v in b1_terms_by_index.values():
         b1_sum += v
@@ -206,7 +200,6 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                 "kappa_value": kap, "kappa_provenance": prov, "order": p},
     )
 
-    diag, l4_sum = _diagonal_l4_split(n, p, p, cn)
     b2 = _report(
         terms={
             "contraction": W1_COEF * (diag / l2**2),
@@ -299,21 +292,16 @@ def contraction_aggregates(psi_i: SymmetricKernel, psi_k: SymmetricKernel,
     A1 sums exact ratios against every admissible cross-contraction norm.
     A2 keeps the diagonal contractions (where both indices coincide, possible
     only up to the smaller order) and replaces the rest by the product of L4
-    norms; termwise domination gives A1 <= A2.
+    norms; termwise domination gives A1 <= A2.  Both come from one
+    `_pair_terms` pass; the bounds that read A1 only call that pass directly.
     """
     if not is_degenerate(psi_i, mu) or not is_degenerate(psi_k, mu):
         raise PreconditionError("the A quantities require degenerate kernels")
     pi, pk = psi_i.order, psi_k.order
     if n < pi + pk:
         raise ParameterError(f"need n >= {pi + pk}, got {n}")
-    cn = _contraction_table(psi_i, psi_k, mu)
-
-    a1 = 0.0
-    for v in _full_terms(n, pi, pk, cn).values():
-        a1 += v
-
+    _, a1, diag, l4_sum = _pair_terms(n, pi, pk, _contraction_table(psi_i, psi_k, mu))
     l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
-    diag, l4_sum = _diagonal_l4_split(n, pi, pk, cn)
     return a1, diag + l4 * l4_sum
 
 
@@ -348,11 +336,14 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
     scale = 1.0 / math.sqrt(total_var)
     scaled = [k.scaled(scale) for k in kernels]
     sigma = [lp_norm(k, mu, 2.0) for k in scaled]
+    if not all(is_degenerate(k, mu) for k in scaled):
+        raise PreconditionError("the A quantities require degenerate kernels")
 
     a = np.zeros((d, d))
     for i in range(d):
         for k in range(i, d):
-            a[i, k] = a[k, i] = contraction_aggregates(scaled[i], scaled[k], mu, n)[0]
+            table = _contraction_table(scaled[i], scaled[k], mu)
+            a[i, k] = a[k, i] = _pair_terms(n, orders[i], orders[k], table)[1]
 
     cov = np.zeros((d, d))
     for i in range(d):
@@ -423,8 +414,8 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     of one `decompose`; the sum of squared normalized level norms is verified
     to be 1.  Cell (i, k) reads the exact contractions of the level pair
     (psi_i, psi_k), so no constant is left implicit.  ``variant`` selects the
-    per-cell aggregate: "B" is the A1 aggregate of `contraction_aggregates`
-    (at most A2 term by term) times the exact finite-n level prefactor, "B'"
+    per-cell aggregate: "B" is the A1 aggregate of `_pair_terms` (at most A2
+    term by term) times the exact finite-n level prefactor, "B'"
     collapses each aggregate to its largest n-power envelope term.
     """
     kappa = kappa or KappaConfig()
@@ -453,13 +444,14 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     for i in range(1, p + 1):
         for k in range(i, p + 1):
             psi_i, psi_k = hs.psi_kernel(i), hs.psi_kernel(k)
+            table = _contraction_table(psi_i, psi_k, mu)
             if variant == "B":
                 prefac = (math.sqrt(binom(n, i)) * binom(n - i, p - i)
                           * math.sqrt(binom(n, k)) * binom(n - k, p - k) / var_n)
-                cell = prefac * contraction_aggregates(psi_i, psi_k, mu, n)[0]
+                cell = prefac * _pair_terms(n, i, k, table)[1]
             else:
                 l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
-                cell = _envelope(n, p, i, k, _contraction_table(psi_i, psi_k, mu), l4) / var_n
+                cell = _envelope(n, p, i, k, table, l4) / var_n
             b[i, k] = b[k, i] = cell
 
     t1 = math.sqrt(p) / 4.0 * profile.m2 * sum(

@@ -372,8 +372,8 @@ def main(argv=None) -> int:
         report = {"command": args.command, "config": config, "result": result}
         _emit(report, args.out)
         return EXIT_OK
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -1,21 +1,37 @@
+import sys
+
 import pytest
 
-from ustatkit import bounds, hoeffding, montecarlo, product
+from ustatkit import hoeffding, montecarlo
 
 
 @pytest.fixture
-def decompose_calls(monkeypatch):
+def record_calls(monkeypatch):
+    """Call with a module and a function name to wrap that function in every
+    `ustatkit` namespace holding it, the package's included; returns the list
+    of ``key(*args, **kwargs)`` of its calls (the positional arguments by
+    default), from any caller."""
+
+    def record(module, name, key=lambda *args, **kwargs: args):
+        calls = []
+        real = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            calls.append(key(*args, **kwargs))
+            return real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ustatkit" and vars(mod).get(name) is real:
+                monkeypatch.setattr(mod, name, recording)
+        return calls
+
+    return record
+
+
+@pytest.fixture
+def decompose_calls(record_calls):
     """Orders of the kernels passed to `hoeffding.decompose`, from any caller."""
-    calls = []
-    real = hoeffding.decompose
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].order)
-        return real(*args, **kwargs)
-
-    for module in (hoeffding, bounds, montecarlo, product):
-        monkeypatch.setattr(module, "decompose", counting)
-    return calls
+    return record_calls(hoeffding, "decompose", lambda kernel, mu: kernel.order)
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from ustatkit import (
     lp_norm,
     variance,
 )
+from ustatkit import product
 from ustatkit.bounds import KAPPA_COEF, W1_COEF
 from ustatkit.errors import ParameterError, PreconditionError
 from ustatkit.product import prefactor_ratio
@@ -228,6 +229,41 @@ class TestAQuantities:
             a1, a2 = contraction_aggregates(psi, phi, mu, 10)
             assert a1 <= a2 + 1e-12
 
+    @pytest.mark.parametrize("pi,pk", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_a2_and_b2_match_the_enumerated_split(self, pi, pk):
+        rng = np.random.default_rng(77 + 10 * pi + pk)
+        mu = random_measure(rng, 3)
+        psi = random_degenerate(rng, pi, 3, mu)
+        phi = random_degenerate(rng, pk, 3, mu)
+        l4 = lp_norm(psi, mu, 4.0)
+        for n in (2 * pk, 50, 10**5):
+            diag, rest = _diagonal_split(psi, phi, mu, n)
+            _, a2 = contraction_aggregates(psi, phi, mu, n)
+            assert a2 == pytest.approx(diag + l4 * lp_norm(phi, mu, 4.0) * rest, rel=1e-12)
+            if pi == pk:
+                diag, rest = _diagonal_split(psi, psi, mu, n)
+                l2sq = lp_norm(psi, mu, 2.0) ** 2
+                _, b2 = bound_degenerate_1d(psi, mu, n)
+                assert b2.terms["contraction"] == pytest.approx(
+                    W1_COEF * diag / l2sq, rel=1e-12)
+                assert b2.terms["fourth_moment"] == pytest.approx(
+                    W1_COEF * l4**2 / l2sq * rest, rel=1e-12)
+
+
+def _diagonal_split(psi, phi, mu, n):
+    """Diagonal contraction terms (t = 2r) and the ratios of the other
+    admissible (t, r), summed over the enumerated index set."""
+    p, q = psi.order, phi.order
+    diag = rest = 0.0
+    for t in range(1, p + q):
+        for r in range(math.ceil(t / 2), min(t, p, q) + 1):
+            ratio = prefactor_ratio(n, p, q, t, r)
+            if t == 2 * r:
+                diag += ratio * contract(psi, phi, r, r, mu).l2_norm
+            else:
+                rest += ratio
+    return diag, rest
+
 
 class TestMultivariate:
     def test_single_kernel_cross_check(self):
@@ -290,6 +326,16 @@ class TestMultivariate:
         k1 = random_degenerate(rng, 1, 3, mu)
         with pytest.raises(ParameterError):
             bound_multivariate([k2, k1], mu, 20, PROFILE)
+
+    @pytest.mark.parametrize("general_first", [True, False])
+    def test_rejects_a_non_degenerate_kernel(self, general_first):
+        rng = np.random.default_rng(79)
+        mu = random_measure(rng, 3)
+        deg = random_degenerate(rng, 2, 3, mu)
+        general = random_kernel(rng, 2, 3)
+        kernels = [general, deg] if general_first else [deg, general]
+        with pytest.raises(PreconditionError, match="require degenerate kernels"):
+            bound_multivariate(kernels, mu, 20, PROFILE)
 
 
 class TestProjectionContractionBound:
@@ -605,3 +651,17 @@ class TestOneDecompositionPerCall:
         mu = random_measure(rng, 3)
         bound_dominant(random_kernel(rng, 3, 3), mu, 20)
         assert len(decompose_calls) == 1
+
+
+class TestOneRatioPerTerm:
+    def test_bound_general(self, record_calls):
+        # one prefactor ratio per admissible (t, r) of each level pair (i, k)
+        calls = record_calls(product, "prefactor_ratio")
+        rng = np.random.default_rng(92)
+        mu = random_measure(rng, 3)
+        n = 20
+        bound_general(random_kernel(rng, 3, 3), mu, n, PROFILE, variant="B")
+        admissible = [(n, i, k, t, r) for i in range(1, 4) for k in range(i, 4)
+                      for t in range(1, i + k)
+                      for r in range(math.ceil(t / 2), min(t, i, k) + 1)]
+        assert sorted(calls) == sorted(admissible)

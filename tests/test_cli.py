@@ -122,18 +122,10 @@ class TestProductCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["max_residual"] <= 1e-8
 
-    def test_product_kernels_built_once(self, files, tmp_path, monkeypatch):
+    def test_product_kernels_built_once(self, files, tmp_path, record_calls):
         import ustatkit as uk
-        from ustatkit import cli, product
-        calls = []
-        original = product.product_kernels
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(product, "product_kernels", counting)
-        monkeypatch.setattr(cli, "product_kernels", counting)
+        from ustatkit import product
+        calls = record_calls(product, "product_kernels")
         mu = uk.DiscreteMeasure(np.array([0.5, 0.5]))
         hs = uk.decompose(uk.SymmetricKernel(np.array([[1.0, 0.0], [0.0, 1.0]])), mu)
         kp = tmp_path / "D.json"
@@ -321,6 +313,19 @@ class TestInputValidation:
                     "--measure", measure, *tail]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB", ""])
+    def test_memory_error_is_a_capacity_error(self, files, capsys, monkeypatch, message):
+        from ustatkit import cli
+
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._HANDLERS, "decompose", exhausted)
+        assert main(["decompose", "--kernel", files["kernel"],
+                     "--measure", files["measure"]]) == 3
+        shown = message or "out of memory"
+        assert capsys.readouterr().err == f"capacity error: {shown}\n"
 
 
 class TestEveryOptionIsRead:

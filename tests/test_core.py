@@ -35,6 +35,20 @@ class TestSymmetricKernel:
         with pytest.raises(ParameterError):
             SymmetricKernel(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("order", [2, 5])  # every permutation; a fixed sample
+    @pytest.mark.parametrize("above", [False, True])
+    def test_symmetry_tolerance_boundary(self, order, above):
+        # the entry 1.0 pins the scale, so the tolerance is 1e-9 * (1 + 1)
+        tol = 1e-9 * (1.0 + 1.0)
+        v = np.zeros((2,) * order)
+        v[(1,) * order] = 1.0
+        v[(0,) * (order - 1) + (1,)] = np.nextafter(tol, np.inf) if above else tol
+        if above:
+            with pytest.raises(ParameterError, match="not symmetric"):
+                SymmetricKernel(v)
+        else:
+            SymmetricKernel(v)
+
     def test_rejects_non_cube(self):
         with pytest.raises(ParameterError):
             SymmetricKernel(np.zeros((2, 3)))

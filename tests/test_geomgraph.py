@@ -837,6 +837,21 @@ class TestRegimeExperiment:
         assert np.isnan(dist["fitted"]) and dist["flag"] == "not-fitted"
         assert np.isfinite(dist["fitted_raw"])
 
+    def test_c4_edge_moments_match_the_closed_form(self):
+        # on the unit interval, an edge has probability q = 2t - t^2 and the
+        # projection g_1(x) = |[x - t, x + t] & [0, 1]| has E g_1^2 = 4t^2 - 10t^3/3
+        rep = regime_experiment(EDGE, DensityModel("uniform-box", 1),
+                                RadiusSchedule("C4", rho=1.0),
+                                [128, 256, 512, 1024, 2048], 3000, seed=3)
+        for r in rep.records:
+            n, t = r["n"], r["t"]
+            pairs = math.comb(n, 2)
+            q = 2 * t - t * t
+            g1_sq = 4 * t * t - 10 * t**3 / 3
+            var = pairs * (q * (1 - q) + 2 * (n - 2) * (g1_sq - q * q))
+            assert abs(r["mean"] - pairs * q) <= 4 * r["mean_se"], r
+            assert abs(r["var"] - var) <= 4 * r["var_se"], r
+
     def test_report_is_reproducible(self):
         sched = RadiusSchedule("C4", rho=1.0)
         a = regime_experiment(EDGE, BOX2, sched, [64, 128, 256, 512], 120, seed=5)
