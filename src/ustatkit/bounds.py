@@ -12,13 +12,15 @@ and b1 <= b2: the dominant, general-B and multivariate bounds read A1 only,
 and b2 and A2 remain reported quantities.  The general and dominant bounds
 decompose their kernel once and read its levels, level norms, variance and
 rank from that `HoeffdingSet`, whose levels `decompose` has already checked
-for degeneracy.  The projection
-contractions of the geometric application are a separate quantity of a
-`HoeffdingSet`, `projection_contraction_bound`, that no bound reads.  The
-order-dependent constants kappa_p of the underlying exchangeable-pair argument
-are configuration inputs (default 1.0, flagged), and each report keeps the
-kappa contribution as a separate term so results stay interpretable under any
-choice.
+for degeneracy.  general-B and general-B' are the three-derivative (C3)
+multivariate bound of the vector of normalized Hoeffding levels, with the B
+or B' cells: they and `bound_multivariate` assemble their terms in one
+`_smooth_terms`.  The projection contractions of the geometric application
+are a separate quantity of a `HoeffdingSet`, `projection_contraction_bound`,
+that no bound reads.  The order-dependent constants kappa_p of the underlying
+exchangeable-pair argument are configuration inputs (default 1.0, flagged),
+and each report keeps the kappa contribution as a separate term so results
+stay interpretable under any choice.
 
 All totals are scale-invariant in the kernel: contraction terms are
 homogeneous ratios and kappa terms are kernel-free (the multivariate bound
@@ -86,11 +88,10 @@ class TestFunctionProfile:
     m2_tilde: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("m1", "m2", "m3"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be non-negative")
-        if self.m2_tilde is not None and self.m2_tilde < 0:
-            raise ParameterError("m2_tilde must be non-negative")
+        for name in ("m1", "m2", "m3", "m2_tilde"):
+            v = getattr(self, name)
+            if v is not None and not 0 <= v < math.inf:
+                raise ParameterError(f"{name} must be finite and non-negative, got {v}")
 
     def hessian_hs(self, d: int) -> float:
         if self.m2_tilde is not None:
@@ -305,6 +306,29 @@ def contraction_aggregates(psi_i: SymmetricKernel, psi_k: SymmetricKernel,
     return a1, diag + l4 * l4_sum
 
 
+def _smooth_terms(n: int, orders: Sequence[int], sigma: Sequence[float], a, kappa: KappaConfig,
+                  profile: TestFunctionProfile, mode: str, weight: float):
+    """Terms (cross, diagonal, kappa) of the smooth-function bound of components
+    of nondecreasing ``orders``, L2 norms ``sigma`` and aggregates ``a[i, k]``,
+    and each order's kappa provenance.  ``weight`` is the Hessian coefficient
+    ("C3") or the operator norm of the inverse root covariance ("C2")."""
+    d, p1 = len(orders), orders[0]
+    cross = sum((orders[i] + orders[k]) * a[i, k] for i in range(d) for k in range(d))
+    diag = sum(orders[i] * sigma[i] * a[i, i] for i in range(d))
+    kap_vals = [kappa.get(p) for p in orders]
+    kap_sum = sum(orders[i] ** 1.5 * sigma[i] ** 3 * math.sqrt(kap_vals[i][0])
+                  for i in range(d))
+    if mode == "C3":
+        t1 = weight / (4.0 * p1) * cross
+        t2 = 2.0 * profile.m3 * math.sqrt(d) / (9.0 * p1) * diag
+        t3 = math.sqrt(2.0 * d) * profile.m3 / (9.0 * p1 * math.sqrt(n)) * kap_sum
+    else:
+        t1 = profile.m1 * weight / (p1 * math.sqrt(2.0 * math.pi)) * cross
+        t2 = math.sqrt(2.0 * math.pi * d) / (6.0 * p1) * profile.m2 * weight * diag
+        t3 = math.sqrt(math.pi * d) / (6.0 * p1 * math.sqrt(n)) * profile.m2 * weight * kap_sum
+    return (t1, t2, t3), {orders[i]: kap_vals[i][1] for i in range(d)}
+
+
 def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
                        n: int, profile: TestFunctionProfile,
                        kappa: Optional[KappaConfig] = None, mode: str = "C3") -> BoundReport:
@@ -352,26 +376,11 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
                 cov[i, k] = tensor_inner(scaled[i].values, scaled[k].values, mu)
     eigvals = np.linalg.eigvalsh(cov)
 
-    p1 = orders[0]
-    cross = sum((orders[i] + orders[k]) * a[i, k] for i in range(d) for k in range(d))
-    diag = sum(orders[i] * sigma[i] * a[i, i] for i in range(d))
-    kap_vals = [kappa.get(p) for p in orders]
-    kap_sum = sum(
-        orders[i] ** 1.5 * sigma[i] ** 3 * math.sqrt(kap_vals[i][0]) for i in range(d)
-    )
-
-    if mode == "C3":
-        t1 = profile.hessian_hs(d) / (4.0 * p1) * cross
-        t2 = 2.0 * profile.m3 * math.sqrt(d) / (9.0 * p1) * diag
-        t3 = math.sqrt(2.0 * d) * profile.m3 / (9.0 * p1 * math.sqrt(n)) * kap_sum
-    else:
-        lam_min = float(eigvals.min())
-        if lam_min <= 0.0:
-            raise PreconditionError("covariance must be positive definite in mode 'C2'")
-        op = 1.0 / math.sqrt(lam_min)
-        t1 = profile.m1 * op / (p1 * math.sqrt(2.0 * math.pi)) * cross
-        t2 = math.sqrt(2.0 * math.pi * d) / (6.0 * p1) * profile.m2 * op * diag
-        t3 = math.sqrt(math.pi * d) / (6.0 * p1 * math.sqrt(n)) * profile.m2 * op * kap_sum
+    lam_min = float(eigvals.min())
+    if mode == "C2" and lam_min <= 0.0:
+        raise PreconditionError("covariance must be positive definite in mode 'C2'")
+    weight = profile.hessian_hs(d) if mode == "C3" else 1.0 / math.sqrt(lam_min)
+    (t1, t2, t3), prov = _smooth_terms(n, orders, sigma, a, kappa, profile, mode, weight)
 
     return _report(
         terms={"cross_term": t1, "diagonal_term": t2, "kappa": t3},
@@ -380,7 +389,7 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
             "applied_scale": scale,
             "sigma": sigma,
             "covariance_eigenvalues": eigvals.tolist(),
-            "kappa_provenance": {orders[i]: kap_vals[i][1] for i in range(d)},
+            "kappa_provenance": prov,
         },
     )
 
@@ -411,12 +420,16 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     """Smooth-test-function bound for a general (non-degenerate) U-statistic.
 
     The statistic is centered and studied through the Hoeffding levels psi_s
-    of one `decompose`; the sum of squared normalized level norms is verified
-    to be 1.  Cell (i, k) reads the exact contractions of the level pair
-    (psi_i, psi_k), so no constant is left implicit.  ``variant`` selects the
-    per-cell aggregate: "B" is the A1 aggregate of `_pair_terms` (at most A2
-    term by term) times the exact finite-n level prefactor, "B'"
-    collapses each aggregate to its largest n-power envelope term.
+    of one `decompose`, each normalized by sqrt(C(n, s)) C(n - s, p - s) /
+    sigma; the sum of squared normalized level norms is verified to be 1.  The
+    bound is the mode-"C3" vector bound of `bound_multivariate` on these p
+    levels, with Hessian coefficient sqrt(p) m2 (a one-dimensional test
+    function has no Hessian HS norm, so ``m2_tilde`` is not read).  Cell
+    (i, k) reads the exact contractions of the level pair (psi_i, psi_k), so
+    no constant is left implicit.  ``variant`` selects the per-cell
+    aggregate: "B" is the A1 aggregate of `_pair_terms` (at most A2 term by
+    term) times the exact finite-n level prefactor, "B'" collapses each
+    aggregate to its largest n-power envelope term.
     """
     kappa = kappa or KappaConfig()
     if variant not in ("B", "B'"):
@@ -430,17 +443,15 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
         raise PreconditionError("statistic must have positive variance")
     sigma = math.sqrt(var_n)
 
-    unit_norms = [0.0] * (p + 1)  # L2 norms of the normalized level kernels
-    for s in range(1, p + 1):
-        unit_norms[s] = (math.sqrt(binom(n, s)) * binom(n - s, p - s)
-                         * hs.psi_norms[s] / sigma)
-    total = sum(v * v for v in unit_norms[1:])
+    unit_norms = [math.sqrt(binom(n, s)) * binom(n - s, p - s) * hs.psi_norms[s] / sigma
+                  for s in range(1, p + 1)]  # L2 norms of the normalized level kernels
+    total = sum(v * v for v in unit_norms)
     if abs(total - 1.0) > 1e-9:
         raise ContractViolationError(
             f"normalized level norms must have unit square sum, got {total!r}"
         )
 
-    b = np.zeros((p + 1, p + 1))
+    b = np.zeros((p, p))
     for i in range(1, p + 1):
         for k in range(i, p + 1):
             psi_i, psi_k = hs.psi_kernel(i), hs.psi_kernel(k)
@@ -452,19 +463,11 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
             else:
                 l4 = lp_norm(psi_i, mu, 4.0) * lp_norm(psi_k, mu, 4.0)
                 cell = _envelope(n, p, i, k, table, l4) / var_n
-            b[i, k] = b[k, i] = cell
+            b[i - 1, k - 1] = b[k - 1, i - 1] = cell
 
-    t1 = math.sqrt(p) / 4.0 * profile.m2 * sum(
-        (i + k) * b[i, k] for i in range(1, p + 1) for k in range(1, p + 1)
-    )
-    t2 = 2.0 * profile.m3 * math.sqrt(p) / 9.0 * sum(
-        i * unit_norms[i] * b[i, i] for i in range(1, p + 1)
-    )
-    kap_info = {i: kappa.get(i) for i in range(1, p + 1)}
-    t3 = math.sqrt(2.0 * p) * profile.m3 / (9.0 * math.sqrt(n)) * sum(
-        i**1.5 * unit_norms[i] ** 3 * math.sqrt(kap_info[i][0])
-        for i in range(1, p + 1)
-    )
+    # a one-dimensional test function has no Hessian HS norm to read
+    (t1, t2, t3), prov = _smooth_terms(n, range(1, p + 1), unit_norms, b, kappa, profile,
+                                       "C3", math.sqrt(p) * profile.m2)
 
     return _report(
         terms={"second_order": t1, "third_order": t2, "kappa": t3},
@@ -472,7 +475,7 @@ def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
             "variant": variant,
             "centered_shift": float(hs.g[0]),
             "sigma_sq": var_n,
-            "level_norms": unit_norms[1:],
-            "kappa_provenance": {i: kap_info[i][1] for i in kap_info},
+            "level_norms": unit_norms,
+            "kappa_provenance": prov,
         },
     )

@@ -561,11 +561,12 @@ class RadiusSchedule:
         if self.regime not in ("C1", "C2", "C3", "C4"):
             raise ParameterError(f"unknown regime {self.regime!r}")
         if self.regime == "C4":
-            if self.rho is None or self.rho <= 0:
-                raise ParameterError("regime C4 needs rho > 0")
+            if self.rho is None or not 0 < self.rho < math.inf:
+                raise ParameterError(f"regime C4 needs a finite rho > 0, got {self.rho}")
         else:
-            if self.beta is None or self.beta <= 0:
-                raise ParameterError(f"regime {self.regime} needs beta > 0")
+            if self.beta is None or not 0 < self.beta < math.inf:
+                raise ParameterError(
+                    f"regime {self.regime} needs a finite beta > 0, got {self.beta}")
             if self.regime in ("C2", "C3") and not self.beta < 1:
                 raise ParameterError("dense regimes need 0 < beta < 1")
             if self.regime == "C1" and not self.beta > 1:

@@ -80,18 +80,19 @@ def _level(psi: SymmetricKernel, phi: SymmetricKernel, n: int, t: int,
     """
     p, q = psi.order, phi.order
     order = p + q - t
-    acc = np.zeros((mu.alphabet_size,) * order) if order >= 1 else 0.0
-    bound = 0.0
+    acc = bound = 0.0
     for r in _overlaps(t, p, q):
         coeff = binom(n - p - q + t, t - r) * multinomial(order, (p - r, q - r, 2 * r - t))
         contr = contract(psi, phi, r, t - r, mu)
         bound += coeff * contr.l2_norm
-        if order >= 1:
-            top = decompose(symmetrize(contr.tensor), mu).psi[order]
-            acc = acc + coeff * top
-        else:
-            acc = acc + coeff * float(contr.tensor)
-    return (SymmetricKernel(acc) if order >= 1 else float(acc)), bound
+        acc = acc + coeff * contr.tensor
+    if order == 0:
+        return float(acc), bound
+    # symmetrization and the top level are linear: one `decompose` of the sum,
+    # scaled exactly (by a power of 2) to unit size for its absolute checks
+    e = math.frexp(float(np.max(np.abs(acc))))[1]
+    top = decompose(symmetrize(np.ldexp(acc, -e)), mu).psi[order]
+    return SymmetricKernel(np.ldexp(top, e)), bound
 
 
 def _check_product_inputs(psi: SymmetricKernel, phi: SymmetricKernel, n: int,

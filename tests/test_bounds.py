@@ -62,6 +62,12 @@ class TestProfile:
         p = TestFunctionProfile(m2=1.0, m2_tilde=1.3)
         assert p.hessian_hs(9) == pytest.approx(1.3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["m1", "m2", "m3", "m2_tilde"])
+    def test_rejects_non_finite_or_negative(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            TestFunctionProfile(**{name: value})
+
 
 class TestDegenerate1d:
     def test_order_one_collapses(self):
@@ -501,6 +507,39 @@ class TestBoundGeneral:
             math.sqrt(p) / 4.0 * 2 * p * a, rel=1e-12)
         assert rep.terms["third_order"] == pytest.approx(
             2.0 * math.sqrt(p) / 9.0 * p * a, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_is_the_c3_vector_bound_of_the_normalized_levels(self, p):
+        # general-B is `bound_multivariate` in mode C3 on the levels psi_s
+        # scaled by sqrt(C(n, s)) C(n - s, p - s) / sigma, whose unit total
+        # variance makes its own rescaling a round-off change
+        rng = np.random.default_rng(100 + p)
+        mu = random_measure(rng, 3)
+        k = random_kernel(rng, p, 3)
+        hs = decompose(k, mu)
+        profile = TestFunctionProfile(m1=0.7, m2=1.3, m3=0.4)
+        kappa = KappaConfig({1: 2.0, 3: 0.5})
+        for n in (2 * p, 30, 10**4, 10**6):
+            sigma = math.sqrt(variance(hs, n)[0])
+            levels = [hs.psi_kernel(s).scaled(
+                math.sqrt(math.comb(n, s)) * math.comb(n - s, p - s) / sigma)
+                for s in range(1, p + 1)]
+            general = bound_general(k, mu, n, profile, kappa)
+            vector = bound_multivariate(levels, mu, n, profile, kappa, mode="C3")
+            for ours, theirs in (("second_order", "cross_term"),
+                                 ("third_order", "diagonal_term"), ("kappa", "kappa")):
+                assert general.terms[ours] == pytest.approx(vector.terms[theirs], rel=1e-12)
+            assert general.extras["kappa_provenance"] == vector.extras["kappa_provenance"]
+
+    @pytest.mark.parametrize("variant", ["B", "B'"])
+    def test_ignores_the_hessian_hs_norm(self, variant):
+        # a one-dimensional test function has no Hessian HS norm to read
+        rng = np.random.default_rng(105)
+        mu = random_measure(rng, 3)
+        k = random_kernel(rng, 3, 3)
+        base = bound_general(k, mu, 30, PROFILE, variant=variant)
+        tilde = TestFunctionProfile(m1=1.0, m2=1.0, m3=1.0, m2_tilde=7.0)
+        assert bound_general(k, mu, 30, tilde, variant=variant) == base
 
 
 class TestExactLaw:

@@ -314,6 +314,19 @@ class TestInputValidation:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("profile", "name"), [("1,1,nan", "m3"), ("inf,1,1", "m1")])
+    def test_non_finite_profile_names_its_field(self, files, capsys, profile, name):
+        assert main(["bound", "--kernel", files["kernel"], "--measure", files["measure"],
+                     "--n", "20", "--variant", "general-B", "--profile", profile]) == 2
+        assert f"{name} must be finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_names_its_field(self, capsys, rho):
+        argv = ["geomgraph", "--pattern", "edge", "--density", "uniform-box", "--dim", "2",
+                "--regime", "C4", "--rho", rho, "--ns", "16,32,64,128", "--reps", "100"]
+        assert main(argv) == 2
+        assert f"regime C4 needs a finite rho > 0, got {rho}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB", ""])
     def test_memory_error_is_a_capacity_error(self, files, capsys, monkeypatch, message):
         from ustatkit import cli

@@ -786,6 +786,14 @@ class TestSchedules:
         with pytest.raises(ParameterError):
             RadiusSchedule("C4")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_name_their_field(self, value):
+        with pytest.raises(ParameterError, match="finite rho"):
+            RadiusSchedule("C4", rho=value)
+        for regime in ("C1", "C2", "C3"):
+            with pytest.raises(ParameterError, match="finite beta"):
+                RadiusSchedule(regime, beta=value)
+
     def test_targets(self):
         t = regime_targets(2, RadiusSchedule("C3", beta=0.5))
         assert t["variance"]["target"] == pytest.approx(2.0)

@@ -99,6 +99,31 @@ class TestProductKernels:
             assert np.allclose(pk.levels[1].values, expected_level1, atol=1e-12)
 
 
+class TestOneDecompositionPerLevel:
+    def test_product_kernels(self, decompose_calls):
+        rng = np.random.default_rng(44)
+        mu = random_measure(rng, 3)
+        psi = random_degenerate(rng, 2, 3, mu)
+        phi = random_degenerate(rng, 2, 3, mu)
+        decompose_calls.clear()
+        product_kernels(psi, phi, 6, mu)
+        # levels t = 0..3 have orders 4..1, one decomposition each whatever
+        # their number of overlaps r; the order-0 level t = 4 is a float
+        assert decompose_calls == [4, 3, 2, 1]
+
+    @pytest.mark.parametrize("n", [10**6, 10**9])
+    def test_large_prefactors_pass_the_degeneracy_checks(self, n):
+        # the level sums carry binomial prefactors up to C(n - 2, 2), while
+        # the degeneracy checks of `decompose` are absolute
+        rng = np.random.default_rng(46)
+        mu = random_measure(rng, 3)
+        psi = random_degenerate(rng, 3, 3, mu)
+        phi = random_degenerate(rng, 3, 3, mu)
+        pk = product_kernels(psi, phi, n, mu)
+        for level in pk.levels[:-1]:
+            assert is_degenerate(level.scaled(1.0 / np.max(np.abs(level.values))), mu)
+
+
 class TestVerifyProductFormula:
     def test_order_one_pair_exhaustive(self):
         rng = np.random.default_rng(45)
