@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, geomgraph, hoeffding, montecarlo
-from .core import DiscreteMeasure, SymmetricKernel, _defect, lp_norm, tensor_lp_norm
+from .core import DiscreteMeasure, SymmetricKernel, _defect, tensor_lp_norm
 from .contractions import contract
 from .errors import CapacityError, ContractViolationError, ParameterError, UstatError
 from .product import product_kernels, verify_product_formula
@@ -188,12 +188,9 @@ def _cmd_product_check(args) -> dict:
     mu = load_measure(args.measure)
     pk = product_kernels(psi, phi, args.n, mu)
     residual = verify_product_formula(pk, args.mc, args.seed)
-    per_t = {}
-    for t, level in enumerate(pk.levels):
-        if isinstance(level, float):
-            per_t[f"t={t}"] = abs(level)
-        else:
-            per_t[f"t={t}"] = lp_norm(level, mu, 2.0)
+    # the order-0 level is a float, whose norm is its absolute value
+    per_t = {f"t={t}": tensor_lp_norm(getattr(level, "values", level), mu, 2.0)
+             for t, level in enumerate(pk.levels)}
     return {"max_residual": residual, "per_t_norms": per_t}
 
 
@@ -254,14 +251,7 @@ def _cmd_geomgraph(args) -> dict:
     else:
         pat = load_pattern(args.pattern)
     density = geomgraph.DensityModel(kind=args.density, dimension=args.dim)
-    if args.regime == "C4":
-        if args.rho is None:
-            raise ParameterError("field 'rho' is required for regime C4")
-        schedule = geomgraph.RadiusSchedule(regime="C4", rho=args.rho)
-    else:
-        if args.beta is None:
-            raise ParameterError(f"field 'beta' is required for regime {args.regime}")
-        schedule = geomgraph.RadiusSchedule(regime=args.regime, beta=args.beta)
+    schedule = geomgraph.RadiusSchedule(args.regime, beta=args.beta, rho=args.rho)
     try:
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
     except ValueError as exc:

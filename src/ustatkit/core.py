@@ -25,7 +25,7 @@ from .errors import CapacityError, DimensionError, ParameterError
 #: tolerance for "weights sum to one"
 WEIGHT_SUM_TOL = 1e-12
 
-#: max-norm tolerance under which a kernel counts as degenerate
+#: max-norm tolerance under which a kernel with values in [-1, 1] counts as degenerate
 DEGENERACY_TOL = 1e-10
 
 #: explicit permutation averages stop here (6! = 720 permutations)
@@ -225,5 +225,12 @@ def _defect(values: np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
     return np.tensordot(mu.weights, values, axes=([0], [0]))
 
 
+def _degeneracy_tol(values: np.ndarray) -> float:
+    """Largest degeneracy defect allowed for a kernel with these values:
+    ``DEGENERACY_TOL`` times max(1, max |value|), so the test is scale-free above 1."""
+    return DEGENERACY_TOL * max(1.0, float(np.max(np.abs(values))))
+
+
 def is_degenerate(kernel: SymmetricKernel, mu: DiscreteMeasure) -> bool:
-    return float(np.max(np.abs(degeneracy_defect(kernel, mu)))) <= DEGENERACY_TOL
+    defect = float(np.max(np.abs(degeneracy_defect(kernel, mu))))
+    return defect <= _degeneracy_tol(kernel.values)

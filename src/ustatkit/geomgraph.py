@@ -23,14 +23,13 @@ from scipy.spatial import cKDTree
 
 from .errors import CapacityError, ParameterError, PreconditionError
 from .montecarlo import (
-    BOOTSTRAP_RESAMPLES,
     MIN_REPLICATES_FOR_DISTANCE,
     FloorAwareFit,
-    NormalizationRecord,
     Purpose,
     ReplicateSet,
     _block_rows,
     _replicates,
+    _resampled,
     coupling_bias,
     debiased_distance,
     fit_distance_powerlaw,
@@ -549,8 +548,9 @@ class RadiusSchedule:
 
     C1 (sparse), C2 (dense, uniform points) and C3 (dense, non-uniform points)
     use t_n = n^(-beta/d); C4 (thermodynamic) uses t_n = (rho / n)^(1/d).
-    The sparse regime additionally requires 1 < beta < p / (p - 1), which
-    depends on the pattern and is checked when an experiment is assembled.
+    The parameter the regime does not use must be left out.  The sparse
+    regime additionally requires 1 < beta < p / (p - 1), which depends on
+    the pattern and is checked when an experiment is assembled.
     """
 
     regime: str
@@ -560,6 +560,9 @@ class RadiusSchedule:
     def __post_init__(self):
         if self.regime not in ("C1", "C2", "C3", "C4"):
             raise ParameterError(f"unknown regime {self.regime!r}")
+        unused = "beta" if self.regime == "C4" else "rho"
+        if getattr(self, unused) is not None:
+            raise ParameterError(f"field '{unused}' does not apply to regime {self.regime}")
         if self.regime == "C4":
             if self.rho is None or not 0 < self.rho < math.inf:
                 raise ParameterError(f"regime C4 needs a finite rho > 0, got {self.rho}")
@@ -627,9 +630,7 @@ def _sample_vertices(density: DensityModel, rng: np.random.Generator, shape, m: 
 
 
 def _bootstrap_stats(counts: np.ndarray, rng: np.random.Generator):
-    r = counts.size
-    idx = rng.integers(0, r, size=(BOOTSTRAP_RESAMPLES, r))
-    res = counts[idx]
+    res = _resampled(counts, rng)
     return (
         float(res.mean(axis=1).std(ddof=1)),
         float(res.var(axis=1, ddof=1).std(ddof=1)),
@@ -703,18 +704,10 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
         mean = float(counts.mean())
         var = float(counts.var(ddof=1))
         mean_se, var_se = _bootstrap_stats(counts, stream(seed, Purpose.VARBOOT, ni + 1))
-        sd = math.sqrt(var) if var > 0 else 0.0
-        if sd > 0:
-            rep = ReplicateSet(
-                values=(counts - mean) / sd,
-                seed=seed,
-                normalization=NormalizationRecord(mean=mean, sd=sd, source="empirical"),
-                slot=ni + 1,
-            )
-            dw = wasserstein_to_normal(rep)
+        dw_val = dw_se = math.nan
+        if var > 0:
+            dw = wasserstein_to_normal(ReplicateSet.empirical(counts, seed, ni + 1))
             dw_val, dw_se = dw.value, dw.stderr
-        else:
-            dw_val, dw_se = float("nan"), float("nan")
         records.append({
             "n": n,
             "t": t,
@@ -725,23 +718,20 @@ def regime_experiment(pat: GraphPattern, density: DensityModel,
             "dw": dw_val,
             "dw_se": dw_se,
             "dw_floor": floor,
-            "dw_debiased": debiased_distance(dw_val, floor) if sd > 0 else float("nan"),
+            "dw_debiased": debiased_distance(dw_val, floor),
         })
 
     targets = regime_targets(p, schedule)
-    ns_arr = [r["n"] for r in records]
     exps = {}
-    mean_fit = ols_loglog(ns_arr, [max(r["mean"], 1e-300) for r in records])
-    exps["mean"] = {"fitted": mean_fit.slope, "stderr": mean_fit.stderr, **targets["mean"]}
-    var_fit = ols_loglog(ns_arr, [max(r["var"], 1e-300) for r in records])
-    exps["variance"] = {"fitted": var_fit.slope, "stderr": var_fit.stderr,
-                        **targets["variance"]}
+    for name, key in (("mean", "mean"), ("variance", "var")):
+        fit = ols_loglog(ns, [max(r[key], 1e-300) for r in records])
+        exps[name] = {"fitted": fit.slope, "stderr": fit.stderr, **targets[name]}
     # the raw coupling distances sit on the estimator's noise floor; the
     # headline exponent comes from the floor-aware quadrature model
     dws = [r["dw"] for r in records]
     if all(math.isfinite(v) and v > 0 for v in dws):
-        dw_fit = fit_distance_powerlaw(ns_arr, dws, [r["dw_se"] for r in records], floor)
-        raw = ols_loglog(ns_arr, dws).slope
+        dw_fit = fit_distance_powerlaw(ns, dws, [r["dw_se"] for r in records], floor)
+        raw = ols_loglog(ns, dws).slope
     else:
         dw_fit, raw = FloorAwareFit(math.nan, math.nan, math.nan), math.nan
     exps["distance"] = {

@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    DEGENERACY_TOL,
     DiscreteMeasure,
     SymmetricKernel,
     _check_same_alphabet,
     _defect,
+    _degeneracy_tol,
     tensor_lp_norm,
 )
 from .errors import ContractViolationError, ParameterError
@@ -113,7 +113,7 @@ def decompose(kernel: SymmetricKernel, mu: DiscreteMeasure) -> HoeffdingSet:
     the order recursion (c_s minus c_0 minus all embedded lower-order kernels)
     and verified against the alternating-sum construction over c-subsets;
     both must agree entrywise to 1e-10.  Every psi_s with s >= 1 must pass the
-    degeneracy test.
+    degeneracy test at the tolerance of the centred kernel's values.
     """
     _check_same_alphabet(kernel, mu)
     p = kernel.order
@@ -132,6 +132,7 @@ def decompose(kernel: SymmetricKernel, mu: DiscreteMeasure) -> HoeffdingSet:
                 acc -= _embed(psi[k], subset, s, m)
         psi.append(acc)
 
+    tol = _degeneracy_tol(c[p])  # the centred kernel
     for s in range(1, p + 1):
         alt = np.full((m,) * s, ((-1.0) ** s) * c0)
         for k in range(1, s + 1):
@@ -144,7 +145,7 @@ def decompose(kernel: SymmetricKernel, mu: DiscreteMeasure) -> HoeffdingSet:
                 f"degenerate-kernel constructions disagree at order {s}: gap {gap:g}"
             )
         defect = float(np.max(np.abs(_defect(psi[s], mu))))
-        if defect > DEGENERACY_TOL:
+        if defect > tol:
             raise ContractViolationError(
                 f"psi_{s} fails the degeneracy test: defect {defect:g}"
             )

@@ -9,6 +9,9 @@ of a regime sweep.  ``_replicates``, the one loop of every Monte Carlo
 estimate, builds one generator per call, re-keys it to stream j before row j
 and splits a long row range into contiguous blocks over forked workers, one
 per usable CPU; results do not depend on the number of workers.
+``ReplicateSet.empirical`` is the one empirical standardization of raw
+replicates and ``_resampled`` the one bootstrap draw; the regime sweeps of
+``geomgraph`` use both.
 """
 
 from __future__ import annotations
@@ -227,6 +230,16 @@ class ReplicateSet:
     def replicates(self) -> int:
         return int(self.values.size)
 
+    @classmethod
+    def empirical(cls, raw: np.ndarray, seed: int, slot: int = 0) -> "ReplicateSet":
+        """Raw replicates standardized by their mean and sample (ddof = 1) deviation."""
+        mean = float(raw.mean())
+        sd = float(raw.std(ddof=1))
+        if sd <= 0.0:
+            raise PreconditionError("replicates are constant; cannot normalize empirically")
+        return cls(values=(raw - mean) / sd, seed=seed, slot=slot,
+                   normalization=NormalizationRecord(mean, sd, "empirical"))
+
 
 def _continuous_ustat(spec: ContinuousKernelSpec, pts: np.ndarray) -> float:
     """Sum of the evaluator over every p-subset of the points, in lexicographic
@@ -301,19 +314,15 @@ def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
         raw = _continuous_raw(kernel, n, reps, seed)
     else:
         raise ParameterError(f"unsupported kernel type {type(kernel)!r}")
-    if normalization == "exact":
-        hs = decompose(kernel, mu)
-        mean = math.comb(n, kernel.order) * float(hs.g[0])
-        var_n, _ = variance(hs, n)
-        if var_n <= 0.0:
-            raise PreconditionError("exact normalization needs positive variance")
-        sd = math.sqrt(var_n)
-    else:
-        mean = float(raw.mean())
-        sd = float(raw.std(ddof=1))
-        if sd <= 0.0:
-            raise PreconditionError("replicates are constant; cannot normalize empirically")
-    rec = NormalizationRecord(mean=mean, sd=sd, source=normalization)
+    if normalization == "empirical":
+        return ReplicateSet.empirical(raw, seed)
+    hs = decompose(kernel, mu)
+    mean = math.comb(n, kernel.order) * float(hs.g[0])
+    var_n, _ = variance(hs, n)
+    if var_n <= 0.0:
+        raise PreconditionError("exact normalization needs positive variance")
+    sd = math.sqrt(var_n)
+    rec = NormalizationRecord(mean=mean, sd=sd, source="exact")
     return ReplicateSet(values=(raw - mean) / sd, seed=seed, normalization=rec)
 
 
@@ -343,6 +352,11 @@ def coupling_distance(values: np.ndarray) -> Union[float, np.ndarray]:
     return np.mean(np.abs(v, out=v), axis=-1)
 
 
+def _resampled(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The bootstrap draw: ``BOOTSTRAP_RESAMPLES`` rows resampling ``values`` with replacement."""
+    return values[rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))]
+
+
 def wasserstein_to_normal(rep: ReplicateSet) -> DistanceEstimate:
     """Empirical Wasserstein-1 distance to N(0, 1) by quantile coupling.
 
@@ -357,9 +371,8 @@ def wasserstein_to_normal(rep: ReplicateSet) -> DistanceEstimate:
         raise CapacityError(
             f"distance estimation needs >= {MIN_REPLICATES_FOR_DISTANCE} replicates, got {r}"
         )
-    idx = stream(rep.seed, Purpose.BOOTSTRAP, rep.slot).integers(
-        0, r, size=(BOOTSTRAP_RESAMPLES, r))
-    boots = coupling_distance(rep.values[idx])
+    rng = stream(rep.seed, Purpose.BOOTSTRAP, rep.slot)
+    boots = coupling_distance(_resampled(rep.values, rng))
     return DistanceEstimate(value=float(coupling_distance(rep.values)),
                             stderr=float(boots.std(ddof=1)))
 

@@ -89,7 +89,7 @@ def _level(psi: SymmetricKernel, phi: SymmetricKernel, n: int, t: int,
     if order == 0:
         return float(acc), bound
     # symmetrization and the top level are linear: one `decompose` of the sum,
-    # scaled exactly (by a power of 2) to unit size for its absolute checks
+    # scaled exactly (by a power of 2) to unit size: below it the checks are absolute
     e = math.frexp(float(np.max(np.abs(acc))))[1]
     top = decompose(symmetrize(np.ldexp(acc, -e)), mu).psi[order]
     return SymmetricKernel(np.ldexp(top, e)), bound

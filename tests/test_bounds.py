@@ -459,6 +459,22 @@ class TestBoundGeneral:
             rep = bound_general(k.scaled(c), mu, 30, PROFILE)
             assert rep.total == pytest.approx(base.total, rel=1e-9)
 
+    def test_scale_invariance_of_large_kernels(self):
+        # the degeneracy tests scale with the kernel's largest value, so a
+        # large kernel is not refused for the round-off of its own size
+        k = random_kernel(np.random.default_rng(3), 3, 3)
+        mu = DiscreteMeasure(np.full(3, 1.0 / 3.0))
+        for variant in ("B", "B'"):
+            base = bound_general(k, mu, 30, PROFILE, variant=variant).total
+            for c in (1e4, 1e6, 1e8, 1e10, 1e12):
+                rep = bound_general(k.scaled(c), mu, 30, PROFILE, variant=variant)
+                assert rep.total == pytest.approx(base, rel=1e-14)
+        top = SymmetricKernel(decompose(k, mu).psi[3])
+        b1 = bound_degenerate_1d(top, mu, 30)[0].total
+        for c in (1e6, 1e10):
+            assert bound_degenerate_1d(top.scaled(c), mu, 30)[0].total == pytest.approx(
+                b1, rel=1e-14)
+
     def test_contraction_terms_decay_with_n(self):
         rng = np.random.default_rng(83)
         mu = random_measure(rng, 3)

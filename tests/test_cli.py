@@ -327,6 +327,16 @@ class TestInputValidation:
         assert main(argv) == 2
         assert f"regime C4 needs a finite rho > 0, got {rho}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("extra", "message"), [
+        (["--rho", "1", "--beta", "0.5"], "field 'beta' does not apply to regime C4"),
+        ([], "regime C4 needs a finite rho > 0, got None"),
+    ])
+    def test_schedule_takes_exactly_its_regime_parameter(self, capsys, extra, message):
+        argv = ["geomgraph", "--pattern", "edge", "--density", "uniform-box", "--dim", "2",
+                "--regime", "C4", *extra, "--ns", "16,32,64,128", "--reps", "100"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB", ""])
     def test_memory_error_is_a_capacity_error(self, files, capsys, monkeypatch, message):
         from ustatkit import cli

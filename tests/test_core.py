@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ustatkit import DiscreteMeasure, SymmetricKernel, degeneracy_defect, lp_norm, symmetrize
-from ustatkit.core import tensor_lp_norm
+from ustatkit.core import DEGENERACY_TOL, is_degenerate, tensor_lp_norm
 from ustatkit.errors import CapacityError, ParameterError
 
 from helpers import random_kernel, random_measure
@@ -153,6 +153,15 @@ class TestDegeneracyDefect:
         mu = DiscreteMeasure(np.array([0.5, 0.5]))
         k = SymmetricKernel(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert np.allclose(degeneracy_defect(k, mu), 0.0)
+
+    def test_tolerance_is_absolute_below_one_and_relative_above(self):
+        mu = DiscreteMeasure(np.array([0.5, 0.5]))
+        for scale in (1e-3, 1.0, 1e8):
+            for off, degenerate in ((0.5, True), (3.0, False)):
+                # defect off * DEGENERACY_TOL times max(1, scale)
+                k = SymmetricKernel(np.array([scale, -scale])
+                                    + off * DEGENERACY_TOL * max(1.0, scale))
+                assert is_degenerate(k, mu) is degenerate
 
     def test_centering_always_degenerates_order_one(self):
         rng = np.random.default_rng(4)

@@ -362,6 +362,13 @@ class TestCountSubgraphs:
         pts = np.array([[0.0, 0.0], [0.1, 0.0]])
         assert count_subgraphs(pts, EDGE, 0.2) == 1
 
+    def test_too_few_points_and_non_positive_radius(self):
+        pts = np.random.default_rng(152).random((5, 2))
+        with pytest.raises(ParameterError, match="need at least 3 points, got 2"):
+            count_subgraphs(pts[:2], TRIANGLE, 0.5)
+        assert count_subgraphs(pts, TRIANGLE, 0.0) == 0
+        assert count_subgraphs(pts, EDGE, -1.0) == 0
+
     def test_complete_graph_saturates(self):
         rng = np.random.default_rng(92)
         pts = rng.random((8, 2))
@@ -772,6 +779,19 @@ class TestDensityModel:
         pts = np.random.default_rng(150).standard_normal((20, 3, 2)) * 10.0
         assert DensityModel("gaussian", 2).in_support(pts).all()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_uniform_ball_samples_fill_the_unit_ball(self, d):
+        ball = DensityModel("uniform-ball", d)
+        pts = ball.sample(np.random.default_rng(151), 4000)
+        assert pts.shape == (4000, d)
+        assert ball.in_support(pts[:, None, :]).all()
+        # |X|^d of a uniform point of the d-ball is uniform on [0, 1]
+        r_d = np.linalg.norm(pts, axis=1) ** d
+        assert abs(r_d.mean() - 0.5) <= 4.0 * r_d.std(ddof=1) / math.sqrt(r_d.size)
+        outside = np.zeros((1, 1, d))
+        outside[..., 0] = 1.01
+        assert not ball.in_support(outside)[0]
+
 
 class TestSchedules:
     def test_radius_formulas(self):
@@ -785,6 +805,10 @@ class TestSchedules:
             RadiusSchedule("C1", beta=0.5)
         with pytest.raises(ParameterError):
             RadiusSchedule("C4")
+        with pytest.raises(ParameterError, match="field 'rho' does not apply to regime C3"):
+            RadiusSchedule("C3", beta=0.5, rho=1.0)
+        with pytest.raises(ParameterError, match="field 'beta' does not apply to regime C4"):
+            RadiusSchedule("C4", beta=0.5, rho=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_parameters_name_their_field(self, value):
@@ -834,6 +858,28 @@ class TestRegimeExperiment:
         with pytest.raises(ParameterError):
             regime_experiment(EDGE, DensityModel("gaussian", 2), sched2,
                               [64, 128, 256, 512], 100, seed=0)
+
+    @pytest.mark.parametrize(("change", "message"), [
+        ({"reps": 99}, "at least 100 replicates"),
+        ({"ns": [64, 128, 256]}, "at least 4 sample sizes"),
+        ({"ns": [1, 128, 256, 512]}, "at least the pattern size"),
+        ({"schedule": RadiusSchedule("C1", beta=2.5)}, r"beta < p / \(p - 1\)"),
+    ])
+    def test_argument_checks(self, change, message):
+        args = {"pat": EDGE, "density": BOX2, "schedule": RadiusSchedule("C4", rho=1.0),
+                "ns": [64, 128, 256, 512], "reps": 100, "seed": 0, **change}
+        with pytest.raises(ParameterError, match=message):
+            regime_experiment(**args)
+
+    def test_constant_counts_form_no_distance(self):
+        # at rho = 1e-9 no two of at most 5 points are joined, so every count
+        # is 0: no size has a distance and no rate is fitted
+        rep = regime_experiment(EDGE, DensityModel("uniform-box", 1),
+                                RadiusSchedule("C4", rho=1e-9), [2, 3, 4, 5], 100, seed=0)
+        for r in rep.records:
+            assert r["var"] == 0.0
+            assert all(math.isnan(r[key]) for key in ("dw", "dw_se", "dw_debiased"))
+        assert rep.exponents["distance"]["flag"] == "not-fitted"
 
     def test_unfitted_distance_is_flagged(self):
         # the CLI's reference sweep: every dw sits at or under the noise floor,

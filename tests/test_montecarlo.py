@@ -42,6 +42,7 @@ from ustatkit.montecarlo import (
     ols_loglog,
     stream,
 )
+from ustatkit.hoeffding import ustat_values_from_count_matrix
 
 HALF = DiscreteMeasure(np.array([0.5, 0.5]))
 COIN = SymmetricKernel(np.array([1.0, -1.0]))
@@ -375,6 +376,29 @@ class TestSimulate:
         assert float(rep.values.mean()) == pytest.approx(0.0, abs=1e-12)
         assert float(rep.values.std(ddof=1)) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(("args", "error", "message"), [
+        ((COIN, HALF, 10, 100, 0, "raw"), ConfigurationError, "unknown normalization"),
+        ((COIN, HALF, 10, 1, 0), ParameterError, "two replicates"),
+        ((COIN, None, 10, 100, 0), ParameterError, "need a measure"),
+        ((SymmetricKernel(np.eye(2)), HALF, 1, 100, 0), ParameterError, "need n >= p = 2"),
+        ((np.ones(2), HALF, 10, 100, 0), ParameterError, "unsupported kernel type"),
+        ((SymmetricKernel(np.ones(2)), HALF, 10, 100, 0, "empirical"), PreconditionError,
+         "replicates are constant"),
+    ])
+    def test_guards(self, args, error, message):
+        with pytest.raises(error, match=message):
+            simulate(*args)
+
+    def test_empirical_normalization_is_the_replicate_sets(self):
+        mu = DiscreteMeasure(np.array([0.2, 0.3, 0.5]))
+        k = SymmetricKernel(np.array([[1.0, -0.5, 0.2], [-0.5, 0.3, 0.7], [0.2, 0.7, -1.0]]))
+        counts = np.array([stream(6, Purpose.REPLICATE, 0, j).multinomial(15, mu.weights)
+                           for j in range(200)])
+        want = ReplicateSet.empirical(ustat_values_from_count_matrix(k.values, counts), 6)
+        got = simulate(k, mu, 15, 200, seed=6, normalization="empirical")
+        assert np.array_equal(got.values, want.values)
+        assert (got.normalization, got.seed, got.slot) == (want.normalization, 6, 0)
+
     def test_order_two_matches_direct_evaluation(self):
         rng = np.random.default_rng(6)
         vals = rng.standard_normal((3, 3))
@@ -424,6 +448,19 @@ class TestSimulate:
         )
         with pytest.raises(CapacityError):
             simulate(spec, None, 600, 10, seed=0, normalization="empirical")
+
+
+class TestOneResampler:
+    def test_every_bootstrap_draws_through_it(self, record_calls):
+        # per sweep size: the count moments' bootstrap and the distance's
+        calls = record_calls(montecarlo, "_resampled", lambda values, rng: values.size)
+        edge, box = named_pattern("edge"), DensityModel("uniform-box", 2)
+        regime_experiment(edge, box, RadiusSchedule("C4", rho=1.0), [64, 128, 256, 512],
+                          100, seed=5)
+        assert calls == [100] * 8
+        calls.clear()
+        variance_lower_bound_check(edge, box, 0.1, 64, 120, seed=5, q_samples=1000)
+        assert calls == [120]
 
 
 class TestWasserstein:

@@ -114,7 +114,7 @@ class TestOneDecompositionPerLevel:
     @pytest.mark.parametrize("n", [10**6, 10**9])
     def test_large_prefactors_pass_the_degeneracy_checks(self, n):
         # the level sums carry binomial prefactors up to C(n - 2, 2), while
-        # the degeneracy checks of `decompose` are absolute
+        # the degeneracy checks of `decompose` are absolute below magnitude 1
         rng = np.random.default_rng(46)
         mu = random_measure(rng, 3)
         psi = random_degenerate(rng, 3, 3, mu)
