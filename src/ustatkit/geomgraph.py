@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CapacityError, ParameterError, PreconditionError
 from .montecarlo import (
@@ -263,6 +262,8 @@ def _candidate_blocks(pts: np.ndarray, t: float):
     cols = [np.ascontiguousarray(pts[:, k]) for k in range(pts.shape[1])]
     grid = _grid_candidates(cols, t) if len(cols) == 2 else None
     if grid is None:
+        from scipy.spatial import cKDTree
+
         # sliding-midpoint splits build faster; the strict mask makes the pairs tree-free
         tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
         grid = cols, [tree.query_pairs(r=t, output_type="ndarray").T]

@@ -30,7 +30,7 @@ from .core import (
     _degeneracy_tol,
     tensor_lp_norm,
 )
-from .errors import ContractViolationError, ParameterError
+from .errors import CapacityError, ContractViolationError, ParameterError
 
 #: variance threshold deciding whether a decomposition level is "active"
 RANK_TOL = 1e-10
@@ -245,15 +245,21 @@ def variance(hs: HoeffdingSet, n: int):
     Returns ``(v_hoeffding, v_g)``: the degenerate-kernel form, from the
     level norms ``hs.psi_norms``, and the projection-function form, from
     ``hs.c_norms``.  Both must agree to relative 1e-9; both must dominate the
-    ``C(n, p) Var(psi)`` lower bound.
+    ``C(n, p) Var(psi)`` lower bound.  A form that leaves the float range
+    raises ``CapacityError``.
     """
     p = hs.order
     if n < p:
         raise ParameterError(f"sample size {n} is below the kernel order {p}")
-    v_h = sum(math.comb(n - s, p - s) ** 2 * math.comb(n, s) * hs.psi_norms[s] ** 2
-              for s in range(1, p + 1))
-    v_g = math.comb(n, p) * sum(math.comb(p, k) * math.comb(n - p, p - k) * hs.c_norms[k] ** 2
-                                for k in range(1, p + 1))
+    try:
+        v_h = sum(math.comb(n - s, p - s) ** 2 * math.comb(n, s) * hs.psi_norms[s] ** 2
+                  for s in range(1, p + 1))
+        v_g = math.comb(n, p) * sum(math.comb(p, k) * math.comb(n - p, p - k) * hs.c_norms[k] ** 2
+                                    for k in range(1, p + 1))
+    except OverflowError:
+        v_h = v_g = math.inf
+    if not (math.isfinite(v_h) and math.isfinite(v_g)):
+        raise CapacityError(f"the variance at n = {n} exceeds the float range")
 
     if abs(v_h - v_g) > 1e-9 * (1.0 + abs(v_g)):
         raise ContractViolationError(

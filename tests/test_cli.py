@@ -1,15 +1,18 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ustatkit
 from ustatkit import cli
 from ustatkit.cli import build_parser, canonical_json, main
 
-from helpers import shift_instance
+from helpers import random_kernel, shift_instance
 
 
 @pytest.fixture
@@ -68,6 +71,17 @@ class TestDecompose:
         code = main(["decompose", "--kernel", files["kernel"],
                      "--measure", str(files["dir"] / "nope.json")])
         assert code == 2
+
+    def test_variance_past_the_float_range_is_a_capacity_error(self, tmp_path, capsys):
+        kpath = tmp_path / "K3.json"
+        values = random_kernel(np.random.default_rng(3), 3, 2).values
+        kpath.write_text(json.dumps({"order": 3, "alphabet": 2, "values": values.ravel().tolist()}))
+        mpath = tmp_path / "M.json"
+        mpath.write_text(json.dumps({"weights": [0.5, 0.5]}))
+        code = main(["decompose", "--kernel", str(kpath), "--measure", str(mpath),
+                     "--n", str(10**80)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"capacity error: the variance at n = {10**80} ")
 
     def test_malformed_kernel(self, files, tmp_path):
         bad = tmp_path / "bad.json"
@@ -241,6 +255,53 @@ class TestDeterminism:
         assert proc.returncode == 0
         assert '"psi"' in proc.stdout
 
+
+
+_SCIPY_FREE_SCRIPT = """
+import json, sys
+import numpy as np
+from ustatkit.cli import main
+from ustatkit.geomgraph import count_subgraphs, named_pattern
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+exit_codes = [main(argv) for argv in json.loads(sys.argv[1])]
+exact = scipy_modules()
+rng = np.random.default_rng(5)
+planar = rng.random((512, 2))
+counts = [count_subgraphs(planar, named_pattern("edge"), 0.05),
+          count_subgraphs(planar, named_pattern("triangle"), 0.05),
+          count_subgraphs(rng.random((512, 1)), named_pattern("edge"), 0.01)]
+print(json.dumps({"exit_codes": exit_codes, "exact": exact,
+                  "counts": counts, "after_counts": scipy_modules()}))
+"""
+
+
+class TestStartUp:
+    def test_exact_subcommands_and_planar_counts_import_no_scipy(self, files, tmp_path):
+        # a fresh interpreter: this test process imported scipy long ago
+        k, d, m = files["kernel"], files["degenerate"], files["measure"]
+        out = ["--out", str(tmp_path / "report.json")]
+        argvs = [
+            ["decompose", "--kernel", k, "--measure", m, "--n", "6", *out],
+            ["contract", "--psi", k, "--phi", k, "--r", "1", "--l", "1", "--measure", m, *out],
+            ["product-check", "--psi", d, "--phi", d, "--n", "6", "--measure", m, *out],
+            ["bound", "--kernel", d, "--measure", m, "--n", "20", "--variant", "b1", *out],
+            ["bound", "--kernel", k, "--measure", m, "--n", "20", "--variant", "general-B",
+             *out],
+        ]
+        src = str(Path(ustatkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["exit_codes"] == [0] * len(argvs)
+        assert doc["exact"] == []
+        assert min(doc["counts"]) > 0
+        assert "scipy.spatial" not in doc["after_counts"]
 
 
 class TestSeedRange:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from ustatkit import (
@@ -301,7 +302,7 @@ class TestCellGrid:
         def refuse(*args, **kwargs):
             raise AssertionError("a KD-tree was built")
 
-        monkeypatch.setattr(geomgraph, "cKDTree", refuse)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", refuse)
         rng = np.random.default_rng(143)
         for n in (256, 2048):
             t = RadiusSchedule("C4", rho=1.0).radius(n, 2)
@@ -319,7 +320,7 @@ def _count_trees(monkeypatch):
         trees.append(args)
         return cKDTree(*args, **kwargs)
 
-    monkeypatch.setattr(geomgraph, "cKDTree", counting)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
     return trees
 
 
@@ -1023,6 +1024,18 @@ class TestGkContractionMc:
         est_b = gk_contraction_mc(EDGE, BOX2, 0.3, 1, 1, 1, 1, 20000, seed=32)
         tol = 3.0 * (est_a.stderr + est_b.stderr)
         assert abs(est_a.value - est_b.value) <= tol
+
+    @pytest.mark.parametrize("levels, oracle", [
+        # ||g_1 (x) g_1|| = ||g_1||^2 with g_1(x) = |[x - t, x + t] & [0, 1]|
+        ((1, 1, 0, 0), lambda t: 4 * t * t - 10 * t**3 / 3),
+        # ||h (x) h|| = ||h||^2 = P(edge)
+        ((2, 2, 0, 0), lambda t: 2 * t - t * t),
+    ])
+    def test_unit_interval_edge_matches_the_closed_form(self, levels, oracle):
+        t = 0.2
+        est = gk_contraction_mc(EDGE, DensityModel("uniform-box", 1), t, *levels, 40_000,
+                                seed=7, inner=64)
+        assert abs(est.value - oracle(t)) <= 4 * est.stderr, est
 
     def test_infeasible_radius_flags_unreliable(self):
         est = gk_contraction_mc(EDGE, BOX2, 1e-5, 2, 2, 1, 1, 10000, seed=33)

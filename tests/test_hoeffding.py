@@ -17,7 +17,7 @@ from ustatkit import (
     variance,
 )
 from ustatkit.core import tensor_lp_norm
-from ustatkit.errors import ParameterError
+from ustatkit.errors import CapacityError, ParameterError
 from ustatkit.hoeffding import _projections, hoeffding_sum, ustat_values_from_count_matrix
 
 from helpers import (
@@ -221,6 +221,21 @@ class TestVariance:
     def test_rejects_small_sample(self):
         with pytest.raises(ParameterError):
             variance(decompose(IDENT, HALF), 1)
+
+    @pytest.mark.parametrize("p, n, scale", [
+        (3, 10**80, 1.0),     # a binomial too large for a float
+        (2, 10**120, 1.0),
+        (2, 10**4, 1e150),    # finite factors whose product overflows
+    ])
+    def test_variance_past_the_float_range_is_a_capacity_error(self, p, n, scale):
+        hs = decompose(random_kernel(np.random.default_rng(3), p, 2, scale), HALF)
+        with pytest.raises(CapacityError, match=f"n = {n} "):
+            variance(hs, n)
+
+    def test_large_n_inside_the_float_range_stays_finite(self):
+        hs = decompose(random_kernel(np.random.default_rng(3), 3, 2), HALF)
+        v_h, v_g = variance(hs, 10**20)
+        assert math.isfinite(v_h) and v_h == pytest.approx(v_g, rel=1e-9)
 
 
 class TestOrthogonality:

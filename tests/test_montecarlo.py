@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import ustatkit
 from ustatkit import (
@@ -505,17 +506,31 @@ class TestWasserstein:
 
     def test_coupling_bias_builds_its_grid_once(self, monkeypatch, replicate_workers):
         calls = []
-        real = montecarlo.ndtri
-        monkeypatch.setattr(montecarlo, "ndtri", lambda q: calls.append(q.size) or real(q))
+        real = special.ndtri
+        monkeypatch.setattr(special, "ndtri", lambda q: calls.append(q.size) or real(q))
         normal_quantile_grid.cache_clear()
         replicate_workers(1)
         coupling_bias.__wrapped__(263)
         assert calls == [263]
 
+    def test_coupling_bias_builds_its_grid_before_the_replicates(self, monkeypatch):
+        # replicate 0's time decides whether to fork, so it must not pay for the grid
+        cached = []
+        real = montecarlo._replicates
+
+        def entering(*args, **kwargs):
+            cached.append(normal_quantile_grid.cache_info().currsize)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_replicates", entering)
+        normal_quantile_grid.cache_clear()
+        coupling_bias.__wrapped__(137)
+        assert cached == [1]
+
     def test_quantile_grid_is_shared_read_only(self):
         grid = normal_quantile_grid(300)
         assert normal_quantile_grid(300) is grid and not grid.flags.writeable
-        assert grid.tobytes() == montecarlo.ndtri((np.arange(1, 301) - 0.5) / 300).tobytes()
+        assert grid.tobytes() == special.ndtri((np.arange(1, 301) - 0.5) / 300).tobytes()
 
     def test_debias_recovers_signal(self):
         assert debiased_distance(0.05, 0.03) == pytest.approx(0.04)
