@@ -7,7 +7,6 @@ application.
 """
 
 from .core import (
-    ContinuousKernelSpec,
     DiscreteMeasure,
     SymmetricKernel,
     degeneracy_defect,
@@ -21,15 +20,12 @@ from .hoeffding import (
     compute_g,
     decompose,
     hoeffding_rank,
-    reconstruct_check,
     ustat_value,
     variance,
 )
 from .product import (
     ProductKernelSet,
-    level_norm_bound,
     product_kernels,
-    prefactor_ratio_normalized,
     prefactor_ratio,
     verify_product_formula,
 )
@@ -42,14 +38,11 @@ from .bounds import (
     bound_dominant,
     bound_general,
     bound_multivariate,
-    clt_condition_values,
-    projection_contraction_bound,
 )
 from .montecarlo import (
     ReplicateSet,
     benchmark_kernel,
     simulate,
-    smooth_distance,
     wasserstein_to_normal,
 )
 from .geomgraph import (
@@ -61,7 +54,6 @@ from .geomgraph import (
     count_subgraphs,
     gk_contraction_mc,
     named_pattern,
-    pattern_kernel,
     regime_experiment,
     variance_lower_bound_check,
 )
@@ -70,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ContinuousKernelSpec",
     "ContractionResult",
     "DensityModel",
     "DiscreteMeasure",
@@ -89,28 +80,21 @@ __all__ = [
     "bound_dominant",
     "bound_general",
     "bound_multivariate",
-    "clt_condition_values",
-    "level_norm_bound",
     "complete_pattern",
     "compute_g",
     "contract",
     "count_subgraphs",
     "decompose",
     "degeneracy_defect",
-    "projection_contraction_bound",
     "gk_contraction_mc",
     "hoeffding_rank",
     "is_degenerate",
     "lp_norm",
     "named_pattern",
-    "pattern_kernel",
     "product_kernels",
-    "reconstruct_check",
     "regime_experiment",
     "simulate",
-    "smooth_distance",
     "symmetrize",
-    "prefactor_ratio_normalized",
     "prefactor_ratio",
     "ustat_value",
     "variance",

@@ -15,9 +15,7 @@ rank from that `HoeffdingSet`, whose levels `decompose` has already checked
 for degeneracy.  general-B and general-B' are the three-derivative (C3)
 multivariate bound of the vector of normalized Hoeffding levels, with the B
 or B' cells: they and `bound_multivariate` assemble their terms in one
-`_smooth_terms`.  The projection contractions of the geometric application
-are a separate quantity of a `HoeffdingSet`, `projection_contraction_bound`,
-that no bound reads.  The order-dependent constants kappa_p of the underlying
+`_smooth_terms`.  The order-dependent constants kappa_p of the underlying
 exchangeable-pair argument are configuration inputs (default 1.0, flagged),
 and each report keeps the kappa contribution as a separate term so results
 stay interpretable under any choice.
@@ -39,7 +37,7 @@ from .core import (DiscreteMeasure, SymmetricKernel, is_degenerate, lp_norm,
                    tensor_inner, tensor_lp_norm)
 from .contractions import _contraction_table
 from .errors import ContractViolationError, ParameterError, PreconditionError
-from .hoeffding import HoeffdingSet, compute_g, decompose, hoeffding_rank, variance
+from .hoeffding import compute_g, decompose, hoeffding_rank, variance
 from .product import _overlaps, binom, prefactor_ratio
 
 #: coefficient of the contraction block in the one-dimensional bounds
@@ -213,29 +211,6 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
     return b1, b2
 
 
-def clt_condition_values(kernels_by_n: Sequence, mu: DiscreteMeasure):
-    """CLT-condition values per n for a sequence of degenerate kernels.
-
-    For each ``(n, psi)`` pair, reports the largest diagonal contraction norm
-    ratio (condition i; 0.0 for order-1 kernels, where the range is empty) and
-    the root-n-damped L4/L2 ratio (condition ii).  No verdict is attached;
-    the caller inspects the trend.
-    """
-    out = []
-    for n, psi in kernels_by_n:
-        if not is_degenerate(psi, mu):
-            raise PreconditionError("condition values are defined for degenerate kernels")
-        l2 = lp_norm(psi, mu, 2.0)
-        if l2 <= 0.0:
-            raise PreconditionError("kernel must have positive L2 norm")
-        cn = _contraction_table(psi, psi, mu)
-        cond_i = max((cn[(s, s)].l2_norm / l2**2 for s in range(1, psi.order)),
-                     default=0.0)
-        cond_ii = lp_norm(psi, mu, 4.0) ** 2 / (math.sqrt(n) * l2**2)
-        out.append({"n": int(n), "condition_i": cond_i, "condition_ii": cond_ii})
-    return out
-
-
 def bound_dominant(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
                    kappa: Optional[KappaConfig] = None) -> BoundReport:
     """Wasserstein bound when the first active decomposition level dominates.
@@ -392,25 +367,6 @@ def bound_multivariate(kernels: Sequence[SymmetricKernel], mu: DiscreteMeasure,
             "kappa_provenance": prov,
         },
     )
-
-
-def projection_contraction_bound(hs: HoeffdingSet, i: int, k: int, s: int, l: int) -> float:
-    """The paper's projection-contraction quantity of levels (i, k) at (s, l).
-
-    Evaluates ``max ||g_i *_r^t g_k||`` in L2(``hs.mu``) over the index set
-    ``{(r, t): 0 <= t <= r <= s, t <= l, r - t <= s - l}``.  The geometric
-    application uses it in place of the level contraction
-    ``||psi_i *_s^l psi_k||``, which it dominates only up to an
-    (i, k, s, l)-dependent constant; no bound here reads it.
-    """
-    p = hs.order
-    if not (1 <= i <= p and 1 <= k <= p):
-        raise ParameterError(f"levels must lie in [1, {p}], got i={i}, k={k}")
-    if not (0 <= l <= s <= min(i, k)):
-        raise ParameterError(f"need 0 <= l <= s <= min(i, k), got s={s}, l={l}")
-    table = _contraction_table(hs.g_kernel(i), hs.g_kernel(k), hs.mu)
-    return max(table[(r, t)].l2_norm for r in range(0, s + 1) for t in range(0, r + 1)
-               if t <= l and r - t <= s - l)
 
 
 def bound_general(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,

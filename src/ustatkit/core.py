@@ -4,11 +4,9 @@ Tensors are dense numpy arrays of shape ``(m,) * p`` in row-major
 (lexicographic) index order.  At the scales this package targets
 (alphabet m <= 8, order p <= 4, so at most a few thousand entries)
 exact enumeration is cheap, so every identity on finite alphabets is
-computed by full summation rather than sampling.  Continuous-space
-kernels are never materialized as tensors; they are handled by Monte
-Carlo in the simulation modules.  The degeneracy defect of a raw tensor is
-formed only by `_defect`; contractions are formed only by
-`contractions.contract`.
+computed by full summation rather than sampling.  The degeneracy defect
+of a raw tensor is formed only by `_defect`; contractions are formed only
+by `contractions.contract`.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -60,10 +57,6 @@ class DiscreteMeasure:
     def alphabet_size(self) -> int:
         return int(self.weights.size)
 
-    @classmethod
-    def uniform(cls, m: int) -> "DiscreteMeasure":
-        return cls(np.full(m, 1.0 / m))
-
 
 @dataclass(frozen=True)
 class SymmetricKernel:
@@ -99,33 +92,6 @@ class SymmetricKernel:
 
     def scaled(self, c: float) -> "SymmetricKernel":
         return SymmetricKernel(self.values * float(c))
-
-    def shifted(self, c: float) -> "SymmetricKernel":
-        return SymmetricKernel(self.values - float(c))
-
-
-@dataclass(frozen=True)
-class ContinuousKernelSpec:
-    """A kernel on ``R^d`` given by an evaluator plus a matching point sampler.
-
-    ``evaluator`` maps an array of shape ``(..., order, dimension)`` to an
-    array of shape ``(...,)`` and must be invariant under permutations of the
-    ``order`` axis.  ``sampler(rng, n)`` returns ``n`` points of the underlying
-    distribution as an ``(n, dimension)`` array; identical generator state must
-    yield identical points.  Simulation re-keys one generator for every
-    replicate, so ``sampler`` must not keep ``rng`` after it returns.
-    """
-
-    order: int
-    dimension: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ParameterError("order must be >= 1")
-        if self.dimension < 1:
-            raise ParameterError("dimension must be >= 1")
 
 
 def _check_symmetry(v: np.ndarray) -> None:

@@ -169,16 +169,6 @@ def _is_pattern_code(codes: np.ndarray, pat: GraphPattern) -> np.ndarray:
     return np.isin(codes, pat._iso_codes, kind="sort")
 
 
-def pattern_kernel(points: np.ndarray, pat: GraphPattern, t: float) -> int:
-    """1 iff the graph induced on the p given points is isomorphic to the pattern."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != pat.p:
-        raise ParameterError(f"need exactly {pat.p} points")
-    if not t > 0:
-        raise ParameterError("radius must be positive")
-    return int(pattern_indicator(pts[None, ...], pat, t)[0])
-
-
 #: a 2-D cell grid is built only up to _GRID_CELLS_PER_POINT * n + 64 cells, so
 #: its cell table stays O(n); sparser inputs (small radii against the span, far
 #: outliers) have their pairs listed by the KD-tree
@@ -289,7 +279,8 @@ def _strict_count_1d(x: np.ndarray, t: float) -> int:
     """
     x = np.sort(x)
     t2 = t * t
-    lo = _run_end(x, np.searchsorted(x, x, side="right"), lambda d2: d2 == 0.0)
+    # a run of zero squared gaps starts at the next rank; only tied rows are bisected
+    lo = _run_end(x, np.arange(1, x.size + 1), lambda d2: d2 == 0.0)
     hi = _run_end(x, lo, lambda d2: d2 < t2, np.searchsorted(x, x + t))
     return int(np.sum(hi - lo))
 

@@ -65,18 +65,11 @@ class HoeffdingSet:
     def order(self) -> int:
         return self.source.order
 
-    def _kernel(self, family: str, k: int) -> SymmetricKernel:
-        # each level is wrapped (and symmetry-checked) once, on first use
-        key = (family, k)
-        if key not in self._kernels:
-            self._kernels[key] = SymmetricKernel(getattr(self, family)[k])
-        return self._kernels[key]
-
-    def g_kernel(self, k: int) -> SymmetricKernel:
-        return self._kernel("g", k)
-
     def psi_kernel(self, s: int) -> SymmetricKernel:
-        return self._kernel("psi", s)
+        # each level is wrapped (and symmetry-checked) once, on first use
+        if s not in self._kernels:
+            self._kernels[s] = SymmetricKernel(self.psi[s])
+        return self._kernels[s]
 
 
 def compute_g(kernel: SymmetricKernel, mu: DiscreteMeasure, k: int) -> np.ndarray:
@@ -225,18 +218,6 @@ def hoeffding_sum(hs: HoeffdingSet, n: int, x: Sequence[int]) -> float:
     for s in range(1, p + 1):
         total += math.comb(n - s, p - s) * ustat_value(hs.psi_kernel(s), x)
     return total
-
-
-def reconstruct_check(kernel: SymmetricKernel, mu: DiscreteMeasure,
-                      x: Sequence[int]) -> float:
-    """Absolute gap between J_p(psi) and its decomposition sum on one sample."""
-    xs = np.asarray(x, dtype=int)
-    if xs.size < kernel.order:
-        raise ParameterError("sample shorter than the kernel order")
-    hs = decompose(kernel, mu)
-    lhs = ustat_value(kernel, xs)
-    rhs = hoeffding_sum(hs, xs.size, xs)
-    return abs(lhs - rhs)
 
 
 def variance(hs: HoeffdingSet, n: int):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import operator
 import os
@@ -27,16 +26,13 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import ContinuousKernelSpec, DiscreteMeasure, SymmetricKernel
+from .core import DiscreteMeasure, SymmetricKernel
 from .errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
 from .hoeffding import decompose, ustat_values_from_count_matrix, variance
-
-#: direct p-subset enumeration caps for continuous kernels
-CONTINUOUS_N_CAP = {1: 10**6, 2: 10**4, 3: 500}
 
 MIN_REPLICATES_FOR_DISTANCE = 100
 
@@ -57,8 +53,7 @@ class Purpose(enum.IntEnum):
     REPLICATE = 0      # replicate j of slot s
     BOOTSTRAP = 1      # distance bootstrap of a replicate set's slot
     CALIBRATION = 2    # noise floor of the coupling distance: sample j
-    GAUSSIAN = 3       # normal side of a smooth distance
-    VALIDATION = 4     # symmetry check of a continuous evaluator
+    # 3 and 4 are retired and stay unused, so no other purpose renumbers
     PRODUCT_CHECK = 5  # sampled count vectors of the product-formula check
     FEASIBILITY = 6    # pattern feasibility probe of a regime sweep
     QPROB = 7          # pattern probability of the variance check: block j of tuples
@@ -240,79 +235,30 @@ class ReplicateSet:
                    normalization=NormalizationRecord(mean, sd, "empirical"))
 
 
-def _continuous_ustat(spec: ContinuousKernelSpec, pts: np.ndarray) -> float:
-    """Sum of the evaluator over every p-subset of the points, in lexicographic
-    order: each (p - 1)-prefix is evaluated in one batch against the points
-    after its last index (p = 1 is the single empty prefix)."""
-    total = 0.0
-    for prefix in itertools.combinations(range(pts.shape[0] - 1), spec.order - 1):
-        others = pts[prefix[-1] + 1 if prefix else 0:]
-        lead = np.broadcast_to(pts[list(prefix)], (others.shape[0], len(prefix), spec.dimension))
-        batch = np.concatenate([lead, others[:, None, :]], axis=1)
-        total += float(np.sum(spec.evaluator(batch)))
-    return total
-
-
-def _check_evaluator_symmetry(spec: ContinuousKernelSpec, seed: int) -> None:
-    # sampled permutation-invariance check on a dedicated stream
-    trials = 6
-    rng = stream(seed, Purpose.VALIDATION)
-    pts = np.asarray(spec.sampler(rng, trials * spec.order), dtype=float)
-    pts = pts.reshape(trials, spec.order, spec.dimension)
-    base = np.asarray(spec.evaluator(pts), dtype=float)
-    for _ in range(3):
-        perm = rng.permutation(spec.order)
-        permuted = np.asarray(spec.evaluator(pts[:, perm, :]), dtype=float)
-        if not np.allclose(base, permuted, rtol=1e-9, atol=1e-12):
-            raise ParameterError("continuous kernel evaluator is not symmetric")
-
-
-def _continuous_raw(spec: ContinuousKernelSpec, n: int, reps: int, seed: int) -> np.ndarray:
-    p = spec.order
-    if n < p:
-        raise ParameterError(f"need n >= p = {p}, got {n}")
-    if p > 1:
-        _check_evaluator_symmetry(spec, seed)
-    cap = CONTINUOUS_N_CAP.get(p)
-    if cap is None:
-        raise CapacityError(f"continuous kernels of order {p} are not enumerable")
-    if n > cap:
-        raise CapacityError(f"continuous order-{p} kernels are capped at n = {cap}")
-    return _replicates(np.empty(reps), lambda rng: _continuous_ustat(
-        spec, np.asarray(spec.sampler(rng, n), dtype=float)), seed)
-
-
-def simulate(kernel: Union[SymmetricKernel, ContinuousKernelSpec],
-             mu: Optional[DiscreteMeasure], n: int, reps: int, seed: int,
+def simulate(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int, reps: int, seed: int,
              normalization: str = "exact") -> ReplicateSet:
     """Draw ``reps`` independent normalized U-statistic replicates.
 
     Replicate j consumes only the stream (seed, REPLICATE, 0, j), so the
     result is bit-identical across runs and execution orders.  Normalization
-    "exact" uses the closed-form mean and variance (discrete kernels only);
-    "empirical" standardizes by the replicate sample mean and standard
-    deviation.
+    "exact" uses the closed-form mean and variance; "empirical" standardizes
+    by the replicate sample mean and standard deviation.
     """
     if normalization not in ("exact", "empirical"):
         raise ConfigurationError(f"unknown normalization {normalization!r}")
     if reps < 2:
         raise ParameterError("need at least two replicates")
-    if isinstance(kernel, SymmetricKernel):
-        if mu is None:
-            raise ParameterError("discrete kernels need a measure")
-        if n < kernel.order:
-            raise ParameterError(f"need n >= p = {kernel.order}, got {n}")
-        # J_p depends on the sample only through its symbol counts, so each
-        # replicate draws counts directly from the multinomial law of the sample
-        counts = _replicates(np.empty((reps, mu.alphabet_size), dtype=np.int64),
-                             lambda rng: rng.multinomial(n, mu.weights), seed)
-        raw = ustat_values_from_count_matrix(kernel.values, counts)
-    elif isinstance(kernel, ContinuousKernelSpec):
-        if normalization == "exact":
-            raise ConfigurationError("exact normalization is only available for discrete kernels")
-        raw = _continuous_raw(kernel, n, reps, seed)
-    else:
+    if not isinstance(kernel, SymmetricKernel):
         raise ParameterError(f"unsupported kernel type {type(kernel)!r}")
+    if mu is None:
+        raise ParameterError("discrete kernels need a measure")
+    if n < kernel.order:
+        raise ParameterError(f"need n >= p = {kernel.order}, got {n}")
+    # J_p depends on the sample only through its symbol counts, so each
+    # replicate draws counts directly from the multinomial law of the sample
+    counts = _replicates(np.empty((reps, mu.alphabet_size), dtype=np.int64),
+                         lambda rng: rng.multinomial(n, mu.weights), seed)
+    raw = ustat_values_from_count_matrix(kernel.values, counts)
     if normalization == "empirical":
         return ReplicateSet.empirical(raw, seed)
     hs = decompose(kernel, mu)
@@ -454,25 +400,6 @@ def fit_distance_powerlaw(ns: Sequence[float], dws: Sequence[float],
         stderr = float("nan")
     return FloorAwareFit(slope=float(alpha), amplitude=float(math.exp(log_c)),
                          stderr=stderr)
-
-
-def smooth_distance(rep: ReplicateSet, g: Callable[[np.ndarray], np.ndarray],
-                    gaussian_reps: int, seed: int,
-                    exact_mean: Optional[float] = None) -> float:
-    """Gap between the replicate mean of g and its standard normal mean.
-
-    The normal side uses ``gaussian_reps`` fresh draws from a dedicated stream
-    unless a closed-form ``exact_mean`` is supplied.
-    """
-    if rep.replicates < MIN_REPLICATES_FOR_DISTANCE:
-        raise CapacityError(
-            f"smooth distances need >= {MIN_REPLICATES_FOR_DISTANCE} replicates"
-        )
-    lhs = float(np.mean(g(rep.values)))
-    if exact_mean is not None:
-        return abs(lhs - float(exact_mean))
-    z = stream(seed, Purpose.GAUSSIAN).standard_normal(int(gaussian_reps))
-    return abs(lhs - float(np.mean(g(z))))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteMeasure, SymmetricKernel, is_degenerate, symmetrize, tensor_lp_norm
+from .core import DiscreteMeasure, SymmetricKernel, is_degenerate, symmetrize
 from .errors import CapacityError, ParameterError, PreconditionError
 from .contractions import contract
 from .hoeffding import ENUMERATION_CAP, decompose, ustat_values_from_count_matrix
@@ -73,35 +73,21 @@ def _overlaps(t: int, p: int, q: int) -> range:
 
 def _level(psi: SymmetricKernel, phi: SymmetricKernel, n: int, t: int,
            mu: DiscreteMeasure):
-    """Level t of the product decomposition and its contraction-norm bound.
-
-    The level is a SymmetricKernel of order p + q - t, or a float at order 0;
-    the bound sums the same coefficients against the contraction norms.
-    """
+    """Level t of the product decomposition: a SymmetricKernel of order
+    p + q - t, or a float at order 0."""
     p, q = psi.order, phi.order
     order = p + q - t
-    acc = bound = 0.0
+    acc = 0.0
     for r in _overlaps(t, p, q):
         coeff = binom(n - p - q + t, t - r) * multinomial(order, (p - r, q - r, 2 * r - t))
-        contr = contract(psi, phi, r, t - r, mu)
-        bound += coeff * contr.l2_norm
-        acc = acc + coeff * contr.tensor
+        acc = acc + coeff * contract(psi, phi, r, t - r, mu).tensor
     if order == 0:
-        return float(acc), bound
+        return float(acc)
     # symmetrization and the top level are linear: one `decompose` of the sum,
     # scaled exactly (by a power of 2) to unit size: below it the checks are absolute
     e = math.frexp(float(np.max(np.abs(acc))))[1]
     top = decompose(symmetrize(np.ldexp(acc, -e)), mu).psi[order]
-    return SymmetricKernel(np.ldexp(top, e)), bound
-
-
-def _check_product_inputs(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
-                          mu: DiscreteMeasure) -> None:
-    p, q = psi.order, phi.order
-    if n < p + q:
-        raise ParameterError(f"need n >= p + q = {p + q}, got {n}")
-    if not is_degenerate(psi, mu) or not is_degenerate(phi, mu):
-        raise PreconditionError("product kernels require degenerate inputs")
+    return SymmetricKernel(np.ldexp(top, e))
 
 
 def product_kernels(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
@@ -113,9 +99,12 @@ def product_kernels(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
     count times the top-level projection of the symmetrized contraction
     ``psi *_r^{t-r} phi``.  Requires n >= p + q and degenerate inputs.
     """
-    _check_product_inputs(psi, phi, n, mu)
     p, q = psi.order, phi.order
-    levels = tuple(_level(psi, phi, n, t, mu)[0] for t in range(0, 2 * min(p, q) + 1))
+    if n < p + q:
+        raise ParameterError(f"need n >= p + q = {p + q}, got {n}")
+    if not is_degenerate(psi, mu) or not is_degenerate(phi, mu):
+        raise PreconditionError("product kernels require degenerate inputs")
+    levels = tuple(_level(psi, phi, n, t, mu) for t in range(0, 2 * min(p, q) + 1))
     return ProductKernelSet(levels=levels, n=n, psi=psi, phi=phi, mu=mu)
 
 
@@ -160,9 +149,11 @@ def prefactor_ratio(n: int, p: int, q: int, t: int, r: int) -> float:
     This is ``sqrt(C(n, p+q-t)) / (sqrt(C(n, p)) sqrt(C(n, q))) *
     C(n+t-p-q, t-r) * multinomial(p+q-t; p-r, q-r, 2r-t)``, with the
     binomials in exact integers and the ratio under the root an exact
-    fraction, rounded once before the root is taken.  It decays
-    like ``n^(t/2 - r)`` with an (p, q, t, r)-dependent constant; using the
-    exact value everywhere keeps every bound a concrete number.
+    fraction, rounded once before the root is taken.  A fraction below the
+    normal float range is first scaled by 4^k, and the result by 2^-k, so
+    it does not underflow to 0 at large n.  It decays like ``n^(t/2 - r)``
+    with an (p, q, t, r)-dependent constant; using the exact value
+    everywhere keeps every bound a concrete number.
     """
     if n < p + q:
         raise ParameterError(f"need n >= p + q = {p + q}, got {n}")
@@ -171,22 +162,11 @@ def prefactor_ratio(n: int, p: int, q: int, t: int, r: int) -> float:
     if r not in _overlaps(t, p, q):
         raise ParameterError(f"need ceil(t/2) <= r <= min(p, q), got t={t}, r={r}")
     root = Fraction(math.comb(n, p + q - t), math.comb(n, p) * math.comb(n, q))
-    return math.sqrt(root) * math.comb(n + t - p - q, t - r) * multinomial(
+    # root > 2^(bits - 1), so root * 4^k >= 2^-1022 (the least normal) once
+    # 2k + bits >= -1021
+    bits = root.numerator.bit_length() - root.denominator.bit_length()
+    k = max(0, -((1021 + bits) // 2))
+    scaled = (root.numerator << 2 * k) / root.denominator
+    return math.ldexp(math.sqrt(scaled) * math.comb(n + t - p - q, t - r) * multinomial(
         p + q - t, (p - r, q - r, 2 * r - t)
-    )
-
-
-def prefactor_ratio_normalized(n: int, p: int, q: int, t: int, r: int) -> float:
-    """``prefactor_ratio * n^(r - t/2)``; stays bounded in n (constant tracking)."""
-    return prefactor_ratio(n, p, q, t, r) * float(n) ** (r - t / 2.0)
-
-
-def level_norm_bound(psi: SymmetricKernel, phi: SymmetricKernel, n: int,
-                     mu: DiscreteMeasure, t: int):
-    """(lhs, rhs): the order p + q - t level norm and its contraction-norm bound."""
-    p, q = psi.order, phi.order
-    if not (1 <= t <= 2 * min(p, q) - 1):
-        raise ParameterError(f"need 1 <= t <= 2 min(p, q) - 1, got {t}")
-    _check_product_inputs(psi, phi, n, mu)
-    level, rhs = _level(psi, phi, n, t, mu)
-    return tensor_lp_norm(level.values, mu, 2.0), rhs
+    ), -k)

@@ -24,11 +24,6 @@ class TestDiscreteMeasure:
         with pytest.raises(ParameterError, match="weights must be finite"):
             DiscreteMeasure(np.array(weights))
 
-    def test_uniform(self):
-        mu = DiscreteMeasure.uniform(4)
-        assert mu.alphabet_size == 4
-        assert np.allclose(mu.weights, 0.25)
-
 
 class TestSymmetricKernel:
     def test_rejects_asymmetric(self):
@@ -171,3 +166,18 @@ class TestDegeneracyDefect:
             vals = rng.standard_normal(m)
             centered = vals - float(vals @ mu.weights)
             assert abs(float(degeneracy_defect(SymmetricKernel(centered), mu))) <= 1e-10
+
+
+class TestExports:
+    def test_all_lists_each_public_name_once(self):
+        # a name deleted from its module but left here breaks `import *`
+        import types
+
+        import ustatkit
+
+        names = ustatkit.__all__
+        assert len(names) == len(set(names))
+        assert all(hasattr(ustatkit, name) for name in names)
+        public = {name for name, value in vars(ustatkit).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert set(names) == public

@@ -16,7 +16,6 @@ from ustatkit import (
     count_subgraphs,
     gk_contraction_mc,
     named_pattern,
-    pattern_kernel,
     regime_experiment,
     variance_lower_bound_check,
 )
@@ -86,38 +85,43 @@ class TestGraphPattern:
         assert checked == {2: 1, 3: 4, 4: 38}.get(p, checked) and checked > 0
 
 
+def _one_tuple(pts, pat, t):
+    """The pattern indicator of one p-point tuple, as a one-tuple batch."""
+    return int(pattern_indicator(np.asarray(pts)[None], pat, t)[0])
+
+
 class TestPatternKernel:
     def test_edge_is_distance_test(self):
         pts = np.array([[0.0, 0.0], [0.3, 0.0]])
-        assert pattern_kernel(pts, EDGE, 0.4) == 1
-        assert pattern_kernel(pts, EDGE, 0.2) == 0
+        assert _one_tuple(pts, EDGE, 0.4) == 1
+        assert _one_tuple(pts, EDGE, 0.2) == 0
 
     def test_coincident_points_are_not_adjacent(self):
         pts = np.zeros((2, 2))
-        assert pattern_kernel(pts, EDGE, 0.5) == 0
+        assert _one_tuple(pts, EDGE, 0.5) == 0
         tri_pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0]])
-        assert pattern_kernel(tri_pts, TRIANGLE, 0.5) == 0
+        assert _one_tuple(tri_pts, TRIANGLE, 0.5) == 0
 
     def test_collinear_path(self):
         t = 1.0
         pts = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]])
-        assert pattern_kernel(pts, PATH3, t) == 1
-        assert pattern_kernel(pts, TRIANGLE, t) == 0
+        assert _one_tuple(pts, PATH3, t) == 1
+        assert _one_tuple(pts, TRIANGLE, t) == 0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(90)
         pts = rng.random((3, 2)) * 0.4
         for pat in (TRIANGLE, PATH3):
-            base = pattern_kernel(pts, pat, 0.3)
+            base = _one_tuple(pts, pat, 0.3)
             for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-                assert pattern_kernel(pts[list(perm)], pat, 0.3) == base
+                assert _one_tuple(pts[list(perm)], pat, 0.3) == base
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(91)
         batch = rng.random((40, 3, 2)) * 0.5
         vec = pattern_indicator(batch, PATH3, 0.25)
         for i in range(40):
-            assert vec[i] == pattern_kernel(batch[i], PATH3, 0.25)
+            assert vec[i] == _one_tuple(batch[i], PATH3, 0.25)
 
 
 class TestGeometricCodes:
@@ -502,8 +506,6 @@ class TestCountSubgraphs:
     def test_rejects_a_nan_radius(self):
         with pytest.raises(ParameterError):
             count_subgraphs(np.random.default_rng(102).random((6, 2)), TRIANGLE, float("nan"))
-        with pytest.raises(ParameterError):
-            pattern_kernel(np.zeros((3, 2)), TRIANGLE, float("nan"))
 
     @pytest.mark.parametrize("pat", [TRIANGLE, PAW, K4], ids=lambda pat: pat.name)
     def test_grown_sets_are_deduplicated_without_np_unique(self, pat, monkeypatch):
@@ -1030,6 +1032,10 @@ class TestGkContractionMc:
         ((1, 1, 0, 0), lambda t: 4 * t * t - 10 * t**3 / 3),
         # ||h (x) h|| = ||h||^2 = P(edge)
         ((2, 2, 0, 0), lambda t: 2 * t - t * t),
+        # g_1 *_1^1 g_1 = the integral of g_1^2
+        ((1, 1, 1, 1), lambda t: 4 * t * t - 10 * t**3 / 3),
+        # ||g_1 *_1^0 g_1|| = ||g_1^2|| = (integral of g_1^4)^(1/2)
+        ((1, 1, 1, 0), lambda t: math.sqrt(16 * t**4 - 98 * t**5 / 5)),
     ])
     def test_unit_interval_edge_matches_the_closed_form(self, levels, oracle):
         t = 0.2

@@ -12,7 +12,6 @@ from ustatkit import (
     decompose,
     hoeffding_rank,
     lp_norm,
-    reconstruct_check,
     ustat_value,
     variance,
 )
@@ -174,26 +173,22 @@ class TestCountEvaluator:
 
 
 class TestReconstruction:
-    def test_degenerate_kernel_reconstructs(self):
-        rng = np.random.default_rng(13)
-        mu = random_measure(rng, 3)
-        psi = random_degenerate(rng, 2, 3, mu)
-        x = rng.integers(0, 3, size=5)
-        assert reconstruct_check(psi, mu, x) <= 1e-9
-
-    def test_constant_kernel_at_minimal_sample(self):
-        c = SymmetricKernel(np.full((2, 2), 4.0))
-        assert reconstruct_check(c, HALF, [0, 1]) <= 1e-12
-
     def test_exhaustive_random_kernel(self):
+        # a random kernel and a random degenerate one over every sample of
+        # size 4, and a constant kernel at the minimal sample size
         rng = np.random.default_rng(14)
         k = random_kernel(rng, 2, 3)
         mu = random_measure(rng, 3)
-        hs = decompose(k, mu)
-        for x in all_samples(3, 4):
-            lhs = ustat_direct(k, x)
-            rhs = hoeffding_sum(hs, 4, list(x))
-            assert abs(lhs - rhs) <= 1e-9
+        rng = np.random.default_rng(13)
+        mu_deg = random_measure(rng, 3)
+        cases = [(k, mu, 4, 1e-9), (random_degenerate(rng, 2, 3, mu_deg), mu_deg, 4, 1e-9),
+                 (SymmetricKernel(np.full((2, 2), 4.0)), HALF, 2, 1e-12)]
+        for kernel, measure, n, tol in cases:
+            hs = decompose(kernel, measure)
+            for x in all_samples(measure.alphabet_size, n):
+                lhs = ustat_direct(kernel, x)
+                rhs = hoeffding_sum(hs, n, list(x))
+                assert abs(lhs - rhs) <= tol
 
 
 class TestVariance:
@@ -316,7 +311,7 @@ class TestHoeffdingRank:
             k, mu = shift_instance(p)
             rank = hoeffding_rank(decompose(k, mu))
             for shift in SHIFTS:
-                assert hoeffding_rank(decompose(k.shifted(-shift), mu)) == rank
+                assert hoeffding_rank(decompose(SymmetricKernel(k.values + shift), mu)) == rank
 
 
 class TestShiftedKernels:
@@ -327,7 +322,7 @@ class TestShiftedKernels:
     def test_variance_matches_unshifted(self, p, shift):
         k, mu = shift_instance(p)
         base, _ = variance(decompose(k, mu), 10)
-        v_h, v_g = variance(decompose(k.shifted(-shift), mu), 10)
+        v_h, v_g = variance(decompose(SymmetricKernel(k.values + shift), mu), 10)
         # storing k + shift rounds each entry by up to 1.1e-16 * shift, which
         # moves the variance itself beyond 1e-9 from a shift of about 1e7
         rel = max(1e-9, 5e-16 * shift)
@@ -339,7 +334,7 @@ class TestShiftedKernels:
     def test_decompose_levels_match_unshifted(self, p, shift):
         k, mu = shift_instance(p)
         base = decompose(k, mu)
-        hs = decompose(k.shifted(-shift), mu)
+        hs = decompose(SymmetricKernel(k.values + shift), mu)
         assert float(hs.psi[0]) == pytest.approx(float(base.psi[0]) + shift, rel=1e-12)
         for s in range(1, p + 1):
             # the stored shifted kernel is k + shift rounded: 1e-16 * shift per entry
@@ -350,7 +345,7 @@ class TestShiftedKernels:
     def test_variance_against_exact_enumeration(self, p, shift):
         # exact variance of the stored float kernel over all 3**6 samples
         k, mu = shift_instance(p)
-        kernel = k.shifted(-shift)
+        kernel = SymmetricKernel(k.values + shift)
         n = 6
         weights = [Fraction(float(w)) for w in mu.weights]
         probs = [w / sum(weights) for w in weights]

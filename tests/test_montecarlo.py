@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 import os
 import threading
@@ -11,13 +10,10 @@ from scipy import special
 
 import ustatkit
 from ustatkit import (
-    ContinuousKernelSpec,
     DiscreteMeasure,
     SymmetricKernel,
-    benchmark_kernel,
     montecarlo,
     simulate,
-    smooth_distance,
     wasserstein_to_normal,
 )
 from ustatkit.errors import CapacityError, ConfigurationError, ParameterError, PreconditionError
@@ -414,42 +410,6 @@ class TestSimulate:
             raw = rep.values[j] * rep.normalization.sd + rep.normalization.mean
             assert raw == pytest.approx(direct, abs=1e-9)
 
-    def test_continuous_kernel(self):
-        spec = ContinuousKernelSpec(
-            order=2, dimension=1,
-            evaluator=lambda pts: (np.abs(pts[..., 0, 0] - pts[..., 1, 0]) < 0.2).astype(float),
-            sampler=lambda rng, n: rng.random((n, 1)),
-        )
-        rep = simulate(spec, None, 40, 200, seed=8, normalization="empirical")
-        assert rep.replicates == 200
-        with pytest.raises(ConfigurationError):
-            simulate(spec, None, 40, 200, seed=8, normalization="exact")
-
-    @pytest.mark.parametrize(("order", "n"), [(1, 15), (2, 13), (3, 11)])
-    def test_continuous_matches_subset_sum(self, order, n):
-        spec = ContinuousKernelSpec(
-            order=order, dimension=2,
-            evaluator=lambda pts: (np.exp(-np.sum(pts.sum(axis=-2) ** 2, axis=-1))
-                                   + np.prod(pts[..., 0], axis=-1)),
-            sampler=lambda rng, n: rng.random((n, 2)),
-        )
-        rep = simulate(spec, None, n, 3, seed=12, normalization="empirical")
-        for j in range(3):
-            pts = spec.sampler(stream(12, Purpose.REPLICATE, 0, j), n)
-            direct = sum(float(spec.evaluator(pts[list(c)][None])[0])
-                         for c in itertools.combinations(range(n), order))
-            raw = rep.values[j] * rep.normalization.sd + rep.normalization.mean
-            assert raw == pytest.approx(direct, rel=1e-12)
-
-    def test_continuous_capacity(self):
-        spec = ContinuousKernelSpec(
-            order=3, dimension=1,
-            evaluator=lambda pts: np.zeros(pts.shape[:-2]),
-            sampler=lambda rng, n: rng.random((n, 1)),
-        )
-        with pytest.raises(CapacityError):
-            simulate(spec, None, 600, 10, seed=0, normalization="empirical")
-
 
 class TestOneResampler:
     def test_every_bootstrap_draws_through_it(self, record_calls):
@@ -535,31 +495,6 @@ class TestWasserstein:
     def test_debias_recovers_signal(self):
         assert debiased_distance(0.05, 0.03) == pytest.approx(0.04)
         assert debiased_distance(0.02, 0.03) == 0.0
-
-
-class TestSmoothDistance:
-    def test_constant_function(self):
-        rep = _normal_repset(1000)
-        assert smooth_distance(rep, lambda x: np.full_like(x, 2.0), 1000, seed=0) == 0.0
-
-    def test_sine_calibration(self):
-        rep = _normal_repset(100000)
-        gap = smooth_distance(rep, np.sin, 100000, seed=77)
-        assert gap <= 0.02
-
-    def test_exact_mean_short_circuit(self):
-        rep = _normal_repset(1000)
-        gap = smooth_distance(rep, np.sin, 10, seed=0, exact_mean=0.0)
-        assert gap == pytest.approx(abs(float(np.mean(np.sin(rep.values)))))
-
-    def test_identity_gap_shrinks_with_n(self):
-        kern, mu = benchmark_kernel()
-        gaps = []
-        for n in (100, 1000, 10000):
-            rep = simulate(kern, mu, n, 4000, seed=21, normalization="exact")
-            # smooth odd test function; its normal mean is exactly 0
-            gaps.append(smooth_distance(rep, np.tanh, 10, seed=0, exact_mean=0.0))
-        assert gaps[2] < gaps[0]
 
 
 class TestFloorAwareFit:

@@ -6,11 +6,8 @@ import pytest
 from ustatkit import (
     DiscreteMeasure,
     SymmetricKernel,
-    level_norm_bound,
-    contract,
     lp_norm,
     product_kernels,
-    prefactor_ratio_normalized,
     prefactor_ratio,
     verify_product_formula,
 )
@@ -192,25 +189,30 @@ class TestPrefactorRatio:
             assert prefactor_ratio(n, p, q, t, r) > 0.0
 
     def test_normalized_sequence_bounded_and_monotone(self):
-        vals = [prefactor_ratio_normalized(n, 2, 2, 2, 2) for n in (4, 8, 16, 64, 256, 1024, 10000)]
+        vals = [prefactor_ratio(n, 2, 2, 2, 2) * n for n in (4, 8, 16, 64, 256, 1024, 10000)]
         assert all(v > 0 for v in vals)
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))  # decreasing
         assert all(math.sqrt(2.0) - 1e-9 <= v <= 2.0 for v in vals)
 
     def test_large_n_matches_exact_rationals(self):
-        # the squared prefactor is a rational number; compare against it exactly
+        # the squared prefactor is a rational number; compare against it exactly.
+        # The last three cases have a fraction under the root below the normal
+        # float range, which a plain conversion rounds to 0
         from fractions import Fraction
+        cases = [(n, pqtr) for n in (10**4, 10**6, 10**8)
+                 for pqtr in ((2, 2, 3, 2), (3, 2, 2, 1), (3, 3, 4, 2))]
+        cases += [(10**200, (4, 4, 2, 1)), (10**80, (4, 4, 7, 4)), (10**400, (2, 2, 1, 1))]
+        for n, (p, q, t, r) in cases:
+            exact_sq = Fraction(
+                math.comb(n, p + q - t) * (math.comb(n + t - p - q, t - r)
+                                           * math.factorial(p + q - t)) ** 2,
+                math.comb(n, p) * math.comb(n, q)
+                * (math.factorial(p - r) * math.factorial(q - r)
+                   * math.factorial(2 * r - t)) ** 2,
+            )
+            val = prefactor_ratio(n, p, q, t, r)
+            assert Fraction(val) ** 2 / exact_sq == pytest.approx(1.0, rel=1e-14)
         for n in (10**4, 10**6, 10**8):
-            for p, q, t, r in ((2, 2, 3, 2), (3, 2, 2, 1), (3, 3, 4, 2)):
-                exact_sq = Fraction(
-                    math.comb(n, p + q - t) * (math.comb(n + t - p - q, t - r)
-                                               * math.factorial(p + q - t)) ** 2,
-                    math.comb(n, p) * math.comb(n, q)
-                    * (math.factorial(p - r) * math.factorial(q - r)
-                       * math.factorial(2 * r - t)) ** 2,
-                )
-                val = prefactor_ratio(n, p, q, t, r)
-                assert Fraction(val) ** 2 / exact_sq == pytest.approx(1.0, rel=1e-14)
             assert binom(n, 3) == float(math.comb(n, 3))
             assert multinomial(n, (n - 3, 2, 1)) == float(math.comb(n, 3) * 3)
 
@@ -219,33 +221,3 @@ class TestPrefactorRatio:
             prefactor_ratio(10, 2, 2, 0, 0)
         with pytest.raises(ParameterError):
             prefactor_ratio(3, 2, 2, 2, 2)  # n < p + q
-
-
-class TestLevelNormBound:
-    def test_zero_kernels(self):
-        z = SymmetricKernel(np.zeros((2, 2)))
-        lhs, rhs = level_norm_bound(z, z, 5, HALF, 2)
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_fifty_random_pairs(self):
-        rng = np.random.default_rng(50)
-        for _ in range(50):
-            mu = random_measure(rng, 3)
-            psi = random_degenerate(rng, 2, 3, mu)
-            phi = random_degenerate(rng, 2, 3, mu)
-            for t in (1, 2, 3):
-                lhs, rhs = level_norm_bound(psi, phi, 6, mu, t)
-                assert lhs <= rhs + 1e-12
-
-    def test_single_term_case_matches_hand_expansion(self):
-        # t = 2 min(p, q) - 1 with p = q = 2 keeps only r = 2
-        rng = np.random.default_rng(51)
-        mu = random_measure(rng, 3)
-        psi = random_degenerate(rng, 2, 3, mu)
-        phi = random_degenerate(rng, 2, 3, mu)
-        n, t = 6, 3
-        lhs, rhs = level_norm_bound(psi, phi, n, mu, t)
-        coeff = math.comb(n - 1, 1) * math.factorial(1)  # C(n-4+3, 3-2) * multinomial(1;0,0,1)
-        expected = coeff * contract(psi, phi, 2, 1, mu).l2_norm
-        assert rhs == pytest.approx(expected, rel=1e-12)
-        assert lhs <= rhs + 1e-12
