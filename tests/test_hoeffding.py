@@ -173,22 +173,28 @@ class TestCountEvaluator:
 
 
 class TestReconstruction:
+    def test_degenerate_kernel_reconstructs(self):
+        rng = np.random.default_rng(13)
+        mu = random_measure(rng, 3)
+        psi = random_degenerate(rng, 2, 3, mu)
+        x = list(rng.integers(0, 3, size=5))
+        assert abs(ustat_direct(psi, x) - hoeffding_sum(decompose(psi, mu), 5, x)) <= 1e-9
+
+    def test_constant_kernel_at_minimal_sample(self):
+        c = SymmetricKernel(np.full((2, 2), 4.0))
+        hs = decompose(c, HALF)
+        for x in all_samples(2, 2):
+            assert abs(ustat_direct(c, x) - hoeffding_sum(hs, 2, list(x))) <= 1e-12
+
     def test_exhaustive_random_kernel(self):
-        # a random kernel and a random degenerate one over every sample of
-        # size 4, and a constant kernel at the minimal sample size
         rng = np.random.default_rng(14)
         k = random_kernel(rng, 2, 3)
         mu = random_measure(rng, 3)
-        rng = np.random.default_rng(13)
-        mu_deg = random_measure(rng, 3)
-        cases = [(k, mu, 4, 1e-9), (random_degenerate(rng, 2, 3, mu_deg), mu_deg, 4, 1e-9),
-                 (SymmetricKernel(np.full((2, 2), 4.0)), HALF, 2, 1e-12)]
-        for kernel, measure, n, tol in cases:
-            hs = decompose(kernel, measure)
-            for x in all_samples(measure.alphabet_size, n):
-                lhs = ustat_direct(kernel, x)
-                rhs = hoeffding_sum(hs, n, list(x))
-                assert abs(lhs - rhs) <= tol
+        hs = decompose(k, mu)
+        for x in all_samples(3, 4):
+            lhs = ustat_direct(k, x)
+            rhs = hoeffding_sum(hs, 4, list(x))
+            assert abs(lhs - rhs) <= 1e-9
 
 
 class TestVariance:
