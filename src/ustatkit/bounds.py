@@ -36,7 +36,7 @@ import numpy as np
 from .core import (DiscreteMeasure, SymmetricKernel, is_degenerate, lp_norm,
                    tensor_inner, tensor_lp_norm)
 from .contractions import _contraction_table
-from .errors import ContractViolationError, ParameterError, PreconditionError
+from .errors import CapacityError, ContractViolationError, ParameterError, PreconditionError
 from .hoeffding import compute_g, decompose, hoeffding_rank, variance
 from .product import _overlaps, binom, prefactor_ratio
 
@@ -186,7 +186,11 @@ def bound_degenerate_1d(psi: SymmetricKernel, mu: DiscreteMeasure, n: int,
         raise PreconditionError("kernel must have positive L2 norm")
     l4 = lp_norm(psi, mu, 4.0)
     kap, prov = kappa.get(p)
-    kap_term = KAPPA_COEF * math.sqrt(p * kap / n)
+    try:
+        kap_term = KAPPA_COEF * math.sqrt(p * kap / n)
+    except OverflowError:
+        raise CapacityError(f"n, a {len(str(n))}-digit integer, lies past the float "
+                            "range") from None
 
     terms, _, diag, l4_sum = _pair_terms(n, p, p, _contraction_table(psi, psi, mu))
     b1_terms_by_index = {key: v / l2**2 for key, v in terms.items()}

@@ -12,6 +12,13 @@ per usable CPU; results do not depend on the number of workers.
 ``ReplicateSet.empirical`` is the one empirical standardization of raw
 replicates and ``_resampled`` the one bootstrap draw; the regime sweeps of
 ``geomgraph`` use both.
+
+Distances to the normal couple sorted values to the midpoint quantiles of
+``normal_quantile_grid``, which a scalar port of Cephes ``ndtri`` builds bit
+for bit as ``scipy.special.ndtri`` would, so ``simulate`` and its distance
+load no scipy.  The distance bootstrap resamples the ranks of the sorted
+replicates and gathers values only from sorted rank rows; equal ranks are
+equal values, so the estimate is the one a sort of resampled values gives.
 """
 
 from __future__ import annotations
@@ -271,15 +278,72 @@ def simulate(kernel: SymmetricKernel, mu: DiscreteMeasure, n: int, reps: int, se
     return ReplicateSet(values=(raw - mean) / sd, seed=seed, normalization=rec)
 
 
+# Cephes ``ndtri`` (Moshier 1989, *Methods and Programs for Mathematical
+# Functions*): y + y^3 P0(y^2)/Q0(y^2) about the median, and with
+# x = sqrt(-2 log y), x - log(x)/x - P(1/x)/(x Q(1/x)) in the tails, one pair of
+# coefficients for x < 8 and one for x >= 8.  Q's leading coefficient is 1.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _horner(x: float, coef: Sequence[float], monic: bool = False) -> float:
+    """The polynomial with ``coef`` highest degree first, and with a leading
+    1 before them when ``monic``, at x, by Horner's rule."""
+    acc = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(y: float) -> float:
+    """Standard normal quantile of 0 < y < 1: Cephes ``ndtri`` in Python
+    floats, step for step, so it rounds as ``scipy.special.ndtri`` does."""
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, True))
+        return x * 2.50662827463100050242  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q, True)
+    return x if upper else -x
+
+
 @functools.lru_cache(maxsize=16)
 def normal_quantile_grid(r: int) -> np.ndarray:
     """Standard normal quantiles at the midpoint grid (j - 1/2) / r.
 
     The grid is built once per r and returned read-only.
     """
-    from scipy.special import ndtri
-
-    grid = ndtri((np.arange(1, r + 1) - 0.5) / r)
+    grid = np.array([_ndtri((j - 0.5) / r) for j in range(1, r + 1)])
     grid.flags.writeable = False
     return grid
 
@@ -293,8 +357,12 @@ class DistanceEstimate:
 def coupling_distance(values: np.ndarray) -> Union[float, np.ndarray]:
     """Quantile-coupling sum of a sample (of each row of a 2-d array) against
     the standard normal grid."""
-    v = np.sort(np.asarray(values, dtype=float), axis=-1)
-    # the sorted copy is private, so the gaps are formed in place
+    return _mean_gap(np.sort(np.asarray(values, dtype=float), axis=-1))
+
+
+def _mean_gap(v: np.ndarray) -> Union[float, np.ndarray]:
+    """Mean transport gap |v - q| of sorted ``v`` (of each row) to the normal
+    grid q; ``v`` is a private copy, so the gaps are formed in place."""
     v -= normal_quantile_grid(v.shape[-1])
     return np.mean(np.abs(v, out=v), axis=-1)
 
@@ -312,16 +380,33 @@ def wasserstein_to_normal(rep: ReplicateSet) -> DistanceEstimate:
     upward bias from sampling noise; a bootstrap standard error
     (``BOOTSTRAP_RESAMPLES`` resamples of the replicates with replacement)
     accompanies the point value.
+
+    The bootstrap resamples ranks, not values: the replicates are sorted
+    once, ``_resampled`` draws from their ranks (the same indices from the
+    same stream as a draw of the values), each rank row is sorted in place
+    and the sorted values are gathered in row blocks of at most 2 MiB.  Rank
+    order is value order and equal ranks are equal values, so each gathered
+    row equals ``np.sort`` of the resampled values element for element (a
+    0.0 and a -0.0 may trade places, which no gap |v - q| sees) and every
+    bit of the estimate is unchanged, while the R-column matrices are small
+    integers instead of two float copies.
     """
     r = rep.replicates
     if r < MIN_REPLICATES_FOR_DISTANCE:
         raise CapacityError(
             f"distance estimation needs >= {MIN_REPLICATES_FOR_DISTANCE} replicates, got {r}"
         )
-    rng = stream(rep.seed, Purpose.BOOTSTRAP, rep.slot)
-    boots = coupling_distance(_resampled(rep.values, rng))
-    return DistanceEstimate(value=float(coupling_distance(rep.values)),
-                            stderr=float(boots.std(ddof=1)))
+    order = np.argsort(rep.values)
+    ordered = rep.values[order]
+    rank = np.empty(r, dtype=np.uint16 if r <= 2**16 else np.uint32)
+    rank[order] = np.arange(r)
+    ranks = _resampled(rank, stream(rep.seed, Purpose.BOOTSTRAP, rep.slot))
+    ranks.sort(axis=1)
+    step = max(1, (2 << 20) // (8 * r))  # rows of a gathered block of at most 2 MiB
+    boots = np.concatenate([_mean_gap(ordered[ranks[lo:lo + step]])
+                            for lo in range(0, BOOTSTRAP_RESAMPLES, step)])
+    # the point value last: it overwrites ``ordered``
+    return DistanceEstimate(value=float(_mean_gap(ordered)), stderr=float(boots.std(ddof=1)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -333,7 +418,8 @@ def coupling_bias(r: int) -> float:
     samples, each rescaled by its own mean and standard deviation before
     coupling, as the empirical-normalization pipeline does.  Sample j reads
     the stream (0, CALIBRATION, 0, j).  The quantile grid is built before the
-    loop, so its first-use scipy import is not timed as replicate 0.
+    loop, so its first build (a Python loop over r quantiles) is not timed as
+    replicate 0.
     """
 
     def distance(rng):

@@ -143,6 +143,16 @@ def verify_product_formula(pk: ProductKernelSet, mc: Optional[int] = None,
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
+def _normal_sqrt(x: Fraction):
+    """``(sqrt(x 4^k), k)`` for the least k >= 0 that puts x 4^k in the
+    normal float range: x is rounded once, after the scaling."""
+    # x > 2^(bits - 1), so x * 4^k >= 2^-1022 (the least normal) once
+    # 2k + bits >= -1021
+    bits = x.numerator.bit_length() - x.denominator.bit_length()
+    k = max(0, -((1021 + bits) // 2))
+    return math.sqrt((x.numerator << 2 * k) / x.denominator), k
+
+
 def prefactor_ratio(n: int, p: int, q: int, t: int, r: int) -> float:
     """Exact value of the normalized binomial-multinomial prefactor.
 
@@ -151,7 +161,9 @@ def prefactor_ratio(n: int, p: int, q: int, t: int, r: int) -> float:
     binomials in exact integers and the ratio under the root an exact
     fraction, rounded once before the root is taken.  A fraction below the
     normal float range is first scaled by 4^k, and the result by 2^-k, so
-    it does not underflow to 0 at large n.  It decays like ``n^(t/2 - r)``
+    it does not underflow to 0 at large n.  Where the binomial or the
+    multinomial is too large for a float, their squared product joins the
+    fraction under the root instead.  It decays like ``n^(t/2 - r)``
     with an (p, q, t, r)-dependent constant; using the exact value
     everywhere keeps every bound a concrete number.
     """
@@ -162,11 +174,13 @@ def prefactor_ratio(n: int, p: int, q: int, t: int, r: int) -> float:
     if r not in _overlaps(t, p, q):
         raise ParameterError(f"need ceil(t/2) <= r <= min(p, q), got t={t}, r={r}")
     root = Fraction(math.comb(n, p + q - t), math.comb(n, p) * math.comb(n, q))
-    # root > 2^(bits - 1), so root * 4^k >= 2^-1022 (the least normal) once
-    # 2k + bits >= -1021
-    bits = root.numerator.bit_length() - root.denominator.bit_length()
-    k = max(0, -((1021 + bits) // 2))
-    scaled = (root.numerator << 2 * k) / root.denominator
-    return math.ldexp(math.sqrt(scaled) * math.comb(n + t - p - q, t - r) * multinomial(
-        p + q - t, (p - r, q - r, 2 * r - t)
-    ), -k)
+    whole = math.comb(n + t - p - q, t - r)
+    parts = multinomial(p + q - t, (p - r, q - r, 2 * r - t))
+    scaled, k = _normal_sqrt(root)
+    try:
+        return math.ldexp(scaled * whole * parts, -k)
+    except OverflowError:
+        # the binomial is past the float range, the value (O(1) at most) is
+        # not; the multinomial float is an integer
+        scaled, k = _normal_sqrt(root * (whole * int(parts)) ** 2)
+        return math.ldexp(scaled, -k)

@@ -23,7 +23,7 @@ from ustatkit import (
 )
 from ustatkit import product
 from ustatkit.bounds import KAPPA_COEF, W1_COEF
-from ustatkit.errors import ParameterError, PreconditionError
+from ustatkit.errors import CapacityError, ParameterError, PreconditionError
 from ustatkit.product import prefactor_ratio
 
 from helpers import exact_law, joint_exact_law, random_degenerate, random_kernel, random_measure
@@ -123,6 +123,28 @@ class TestDegenerate1d:
         b1, _ = bound_degenerate_1d(psi, mu, n)
         ref, _ = bound_degenerate_1d(psi, mu, 10**120)
         assert b1.total == pytest.approx(ref.total, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10**120, 10**200, 10**400], ids=["n1e120", "n1e200", "n1e400"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_huge_n_is_finite_or_a_capacity_error(self, p, n):
+        # b1 and b2 tend to constants in n and the dominant bound decays; a
+        # binomial past the float range raised a bare OverflowError, and an n
+        # past it is refused
+        rng = np.random.default_rng(p)
+        mu = random_measure(rng, 3)
+        psi = random_degenerate(rng, p, 3, mu)
+        kernel = random_kernel(rng, p, 3)
+        if n > 10**308:
+            with pytest.raises(CapacityError, match="past the float range"):
+                bound_degenerate_1d(psi, mu, n)
+            with pytest.raises(CapacityError, match="past the float range"):
+                bound_dominant(kernel, mu, n)
+            return
+        b1, b2 = bound_degenerate_1d(psi, mu, n)
+        ref, _ = bound_degenerate_1d(psi, mu, 10**80)
+        assert b1.total == pytest.approx(ref.total, rel=1e-12)
+        assert math.isfinite(b2.total) and b2.total >= b1.total * (1.0 - 1e-12)
+        assert 0.0 < bound_dominant(kernel, mu, n).total < 1e-50
 
     def test_rejects_non_degenerate(self):
         mu = DiscreteMeasure(np.array([0.5, 0.5]))

@@ -162,6 +162,13 @@ class TestProductCheck:
 
 
 class TestBound:
+    @pytest.mark.parametrize("variant", ["b1", "b2"])
+    def test_bound_past_the_float_range_is_a_capacity_error(self, files, capsys, variant):
+        code = main(["bound", "--kernel", files["degenerate"], "--measure", files["measure"],
+                     "--n", str(10**400), "--variant", variant])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("capacity error: n, a 401-digit integer")
+
     def test_non_degenerate_kernel_is_validation_error(self, files):
         code = main(["bound", "--kernel", files["kernel"], "--measure", files["measure"],
                      "--n", "20", "--variant", "b1"])
@@ -290,6 +297,9 @@ class TestStartUp:
             ["bound", "--kernel", d, "--measure", m, "--n", "20", "--variant", "b1", *out],
             ["bound", "--kernel", k, "--measure", m, "--n", "20", "--variant", "general-B",
              *out],
+            ["simulate", "--kernel", k, "--measure", m, "--n", "10", "--reps", "200", *out],
+            ["simulate", "--kernel", k, "--measure", m, "--n", "10", "--reps", "200",
+             "--normalization", "empirical", *out],
         ]
         src = str(Path(ustatkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

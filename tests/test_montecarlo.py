@@ -466,12 +466,13 @@ class TestWasserstein:
 
     def test_coupling_bias_builds_its_grid_once(self, monkeypatch, replicate_workers):
         calls = []
-        real = special.ndtri
-        monkeypatch.setattr(special, "ndtri", lambda q: calls.append(q.size) or real(q))
+        real = montecarlo._ndtri
+        monkeypatch.setattr(montecarlo, "_ndtri", lambda y: calls.append(y) or real(y))
         normal_quantile_grid.cache_clear()
         replicate_workers(1)
         coupling_bias.__wrapped__(263)
-        assert calls == [263]
+        assert len(calls) == 263
+        assert normal_quantile_grid.cache_info().misses == 1
 
     def test_coupling_bias_builds_its_grid_before_the_replicates(self, monkeypatch):
         # replicate 0's time decides whether to fork, so it must not pay for the grid
@@ -491,6 +492,47 @@ class TestWasserstein:
         grid = normal_quantile_grid(300)
         assert normal_quantile_grid(300) is grid and not grid.flags.writeable
         assert grid.tobytes() == special.ndtri((np.arange(1, 301) - 0.5) / 300).tobytes()
+
+    def test_quantile_grid_equals_scipy_bit_for_bit(self):
+        for r in [*range(1, 3001), 5000, 10_000, 20_000, 50_000, 100_000]:
+            mids = (np.arange(1, r + 1) - 0.5) / r
+            assert normal_quantile_grid.__wrapped__(r).tobytes() == special.ndtri(mids).tobytes(), r
+
+    @pytest.mark.parametrize("edge", [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+                                      0.5, 1e-300])
+    def test_quantile_equals_scipy_across_each_branch_edge(self, edge):
+        # exp(-2) and 1 - exp(-2) bound the central rational approximation and
+        # exp(-32) is where sqrt(-2 log y) crosses 8 between the two tail ones
+        ys = [edge]
+        for _ in range(3):
+            ys = [np.nextafter(ys[0], 0.0), *ys, np.nextafter(ys[-1], 1.0)]
+        ours = np.array([montecarlo._ndtri(float(y)) for y in ys])
+        assert ours.tobytes() == special.ndtri(np.array(ys)).tobytes()
+
+    def test_quantile_equals_scipy_on_uniform_draws(self):
+        u = stream(11, Purpose.CALIBRATION).random(20_000)
+        ys = np.concatenate([u, u**16, u**64, 1.0 - u**16])
+        ys = ys[(ys > 0.0) & (ys < 1.0)]
+        ours = np.array([montecarlo._ndtri(y) for y in ys.tolist()])
+        assert ours.tobytes() == special.ndtri(ys).tobytes()
+
+    @pytest.mark.parametrize("case", ["normal", "counts", "signed-zeros"])
+    @pytest.mark.parametrize("r", [100, 65_537])  # 65,537 ranks overflow uint16
+    def test_rank_bootstrap_equals_resorting_values(self, case, r):
+        rng = np.random.default_rng(r)
+        values = {"normal": lambda: rng.standard_normal(r),
+                  "counts": lambda: rng.poisson(1.5, r).astype(float),
+                  # a sign times 0, 1 or 2: both zeros, each many times
+                  "signed-zeros": lambda: rng.choice([-1.0, 1.0], r) * rng.integers(0, 3, r),
+                  }[case]()
+        for seed, slot in [(0, 0), (9, 4)]:
+            rep = ReplicateSet(values=values, seed=seed, slot=slot,
+                               normalization=NormalizationRecord(0.0, 1.0, "exact"))
+            boots = coupling_distance(montecarlo._resampled(
+                rep.values, stream(seed, Purpose.BOOTSTRAP, slot)))
+            est = wasserstein_to_normal(rep)
+            assert est.value.hex() == float(coupling_distance(rep.values)).hex()
+            assert est.stderr.hex() == float(boots.std(ddof=1)).hex()
 
     def test_debias_recovers_signal(self):
         assert debiased_distance(0.05, 0.03) == pytest.approx(0.04)

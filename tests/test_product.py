@@ -196,12 +196,14 @@ class TestPrefactorRatio:
 
     def test_large_n_matches_exact_rationals(self):
         # the squared prefactor is a rational number; compare against it exactly.
-        # The last three cases have a fraction under the root below the normal
-        # float range, which a plain conversion rounds to 0
+        # The next three cases have a fraction under the root below the normal
+        # float range, which a plain conversion rounds to 0; in the last three
+        # C(n + t - p - q, t - r) is too large to convert to a float
         from fractions import Fraction
         cases = [(n, pqtr) for n in (10**4, 10**6, 10**8)
                  for pqtr in ((2, 2, 3, 2), (3, 2, 2, 1), (3, 3, 4, 2))]
         cases += [(10**200, (4, 4, 2, 1)), (10**80, (4, 4, 7, 4)), (10**400, (2, 2, 1, 1))]
+        cases += [(10**120, (4, 4, 7, 4)), (10**200, (3, 3, 5, 3)), (10**400, (4, 4, 6, 3))]
         for n, (p, q, t, r) in cases:
             exact_sq = Fraction(
                 math.comb(n, p + q - t) * (math.comb(n + t - p - q, t - r)
